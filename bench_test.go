@@ -372,7 +372,12 @@ func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control
 // pipeline exists to remove: the same aggregating scenario as
 // BenchmarkOnlineILDecideAsync but with the historical inline trainer, so
 // every BufferCap-th decide pays a full MLP retrain on the decide path.
-// Compare its ns/op and p99_ns against the async benchmark's.
+// Compare its ns/op and p99_ns against the async benchmark's. Its retrains
+// are not a served retrain's: one state is re-decided until training on
+// it converges, so the policy's momenta decay into the subnormal range and
+// most of a retrain's time is subnormal arithmetic on nonzero inputs,
+// which the training kernel's exact skip does not cover.
+// BenchmarkMLPRetrainServing times a served retrain.
 func BenchmarkOnlineILDecideSyncRetrain(b *testing.B) {
 	s := study(b)
 	oil := s.FreshOnlineIL()
@@ -531,6 +536,16 @@ func BenchmarkRLSUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkMLPTrainStep times one TrainStep of the 13-24-16-4 policy
+// network on an all-zero input with a constant target. It is a kernel
+// probe, not a served retrain: the network converges on its one sample,
+// and after about 7,000 steps every hidden-layer weight and bias momentum
+// is subnormal, so a step costs roughly nine times what it did before
+// and most of ns/op (a mean over b.N steps) is microcode-assisted
+// subnormal arithmetic. Those momenta sit on nonzero inputs, where the
+// training kernel's exact skip does not apply, so this figure hardly
+// moves with the kernel. BenchmarkMLPRetrainServing is the served unit of
+// training work.
 func BenchmarkMLPTrainStep(b *testing.B) {
 	n := mlp.New(1, mlp.Tanh, control.NumFeatures, 24, 16, 4)
 	x := make([]float64, control.NumFeatures)
@@ -539,6 +554,102 @@ func BenchmarkMLPTrainStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.TrainStep(x, y, 0.01, 0.9)
 	}
+}
+
+// servedRetrain is the shared set-up of BenchmarkMLPRetrainServing,
+// built once per process: a served learner warmed by inline retrains, and
+// one retrain batch of its standardized served features.
+var servedRetrain struct {
+	once   sync.Once
+	oil    *il.OnlineIL
+	xs, ys [][]float64
+}
+
+// servedRetrainBatch drives one fleet-learn device — the first
+// workload.AllApps application truncated to 48 snippets, 8 records per
+// batch executed at the configuration the previous batch returned,
+// starting from the daemon's session start — through an inline-training
+// online-IL learner on the serving bootstrap policy, in a session's
+// decide-then-observe order. After warmRetrains retrains it collects the
+// next retrain's 8 aggregated samples.
+func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
+	b.Helper()
+	const warmRetrains, snippets, records = 64, 48, 8
+	sr := &servedRetrain
+	sr.once.Do(func() {
+		p := soc.NewXU3()
+		pol, err := serve.TrainBootstrapPolicy(p, 1, 4, 24)
+		if err != nil {
+			panic(err)
+		}
+		oil := il.NewOnlineILSeeded(p, pol, serve.WarmModels(p, 1, 40), 1)
+		app := workload.AllApps(1)[0]
+		app.Snippets = app.Snippets[:snippets]
+		cfg := soc.Config{LittleFreqIdx: len(p.LittleOPPs) / 2, BigFreqIdx: len(p.BigOPPs) / 2, NLittle: 4, NBig: 2}
+		var prev control.State
+		var tr *il.AsyncTrainer
+		for pos := 0; ; {
+			var next soc.Config
+			for r := 0; r < records; r++ {
+				sn := app.Snippets[pos%snippets]
+				res := p.Execute(sn, cfg)
+				st := control.State{Counters: res.Counters, Derived: res.Counters.Derived(), Config: cfg, Threads: sn.Threads}
+				next = p.Clamp(oil.Decide(st))
+				if pos > 0 {
+					oil.Observe(prev, cfg, res, st)
+				}
+				prev = st
+				pos++
+			}
+			cfg = next
+			if tr == nil && oil.Updates() >= warmRetrains {
+				tr = oil.AsyncMode(oil.BufferCap) // capture the next batch instead of training on it
+			}
+			if tr != nil && tr.Ready() {
+				for _, s := range tr.Drain()[:oil.BufferCap] {
+					x := make([]float64, len(s.X))
+					sr.xs = append(sr.xs, oil.Policy().Scaler.TransformInto(x, s.X[:]))
+					sr.ys = append(sr.ys, append([]float64(nil), s.Y[:]...))
+				}
+				break
+			}
+		}
+		sr.oil = oil
+	})
+	return sr.oil, sr.xs, sr.ys
+}
+
+// BenchmarkMLPRetrainServing is one inline online-IL retrain: 8 samples x
+// 80 epochs at lr 0.02 and momentum 0.9 (the learner's defaults) of the
+// serving bootstrap policy on standardized served features — the unit of
+// training work fleet-learn pays 32 times per op. The bootstrap scaler
+// maps served input columns to exactly 0 (zero_cols reports how many), so
+// after the warm retrains layer 0's momentum on those columns sits at a
+// subnormal fixed point, the regime a long-lived served session trains
+// in. Every op keeps training the same network, as a session does.
+func BenchmarkMLPRetrainServing(b *testing.B) {
+	oil, xs, ys := servedRetrainBatch(b)
+	zeroCols := 0
+	for i := range xs[0] {
+		zero := true
+		for _, x := range xs {
+			zero = zero && x[i] == 0
+		}
+		if zero {
+			zeroCols++
+		}
+	}
+	if zeroCols == 0 {
+		b.Fatal("no served input column standardizes to 0; the benchmark no longer measures the served regime")
+	}
+	net := oil.Policy().Net
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.TrainEpochs(xs, ys, oil.Epochs, oil.LR, oil.Momentum, oil.Seed+int64(i))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(zeroCols), "zero_cols")
 }
 
 func BenchmarkNoCSimulate(b *testing.B) {

@@ -45,6 +45,12 @@ type Network struct {
 	predOut []float64
 	order   []int
 	rng     *rand.Rand
+	// stuck caches stuckUlps' k for the (momentum, lr) it was computed for.
+	stuck struct {
+		valid        bool
+		momentum, lr float64
+		k            uint64
+	}
 }
 
 // New constructs a network with the given layer sizes (at least input and
@@ -81,27 +87,39 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-func (n *Network) activate(v float64) float64 {
+// activate applies the hidden nonlinearity to every element of a.
+func (n *Network) activate(a []float64) {
 	switch n.Act {
 	case ReLU:
-		if v < 0 {
-			return 0
+		for j, v := range a {
+			if v < 0 {
+				a[j] = 0
+			}
 		}
-		return v
 	default:
-		return math.Tanh(v)
+		for j, v := range a {
+			a[j] = math.Tanh(v)
+		}
 	}
 }
 
-func (n *Network) activateGrad(a float64) float64 {
+// scaleByActGrad multiplies each backprop delta by the activation's
+// derivative, expressed in terms of the unit's output a.
+func (n *Network) scaleByActGrad(delta, a []float64) {
+	a = a[:len(delta)]
 	switch n.Act {
 	case ReLU:
-		if a > 0 {
-			return 1
+		for i, v := range a {
+			g := 0.0
+			if v > 0 {
+				g = 1
+			}
+			delta[i] *= g
 		}
-		return 0
 	default:
-		return 1 - a*a // tanh'(x) in terms of tanh(x)
+		for i, v := range a {
+			delta[i] *= 1 - v*v // tanh'(x) in terms of tanh(x)
+		}
 	}
 }
 
@@ -120,9 +138,21 @@ func (n *Network) ensureScratch() {
 	n.predOut = make([]float64, n.Sizes[L-1])
 }
 
-// Forward runs the network and returns the per-layer activations (needed
+// row returns row j of the row-major matrix w whose rows have len(like)
+// columns, resliced so the compiler can drop bounds checks in loops that
+// range over like.
+func row(w []float64, j int, like []float64) []float64 {
+	return w[j*len(like) : (j+1)*len(like)][:len(like)]
+}
+
+// forward runs the network and returns the per-layer activations (needed
 // for backprop). The returned slices are the network's scratch buffers;
 // acts[0] aliases x until the next pass.
+//
+// Unit j's pre-activation is B[j] + W[j,0]*x[0] + W[j,1]*x[1] + ..., added
+// in input order. Four rows share each pass over the inputs, but each row
+// keeps its own sequential sum, so every unit's result is bit-identical
+// to a row-at-a-time loop.
 func (n *Network) forward(x []float64) [][]float64 {
 	if len(x) != n.Sizes[0] {
 		panic(fmt.Sprintf("mlp: input dim %d, want %d", len(x), n.Sizes[0]))
@@ -130,20 +160,31 @@ func (n *Network) forward(x []float64) [][]float64 {
 	n.ensureScratch()
 	acts := n.acts
 	acts[0] = x
-	for l := 0; l < len(n.W); l++ {
-		in, out := n.Sizes[l], n.Sizes[l+1]
-		a := acts[l+1]
-		prev := acts[l]
-		for j := 0; j < out; j++ {
-			s := n.B[l][j]
-			wrow := n.W[l][j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				s += wrow[i] * prev[i]
+	for l, W := range n.W {
+		prev, a := acts[l], acts[l+1]
+		B := n.B[l][:len(a)]
+		j := 0
+		for ; j+4 <= len(a); j += 4 {
+			w0, w1, w2, w3 := row(W, j, prev), row(W, j+1, prev), row(W, j+2, prev), row(W, j+3, prev)
+			s0, s1, s2, s3 := B[j], B[j+1], B[j+2], B[j+3]
+			for i, p := range prev {
+				s0 += w0[i] * p
+				s1 += w1[i] * p
+				s2 += w2[i] * p
+				s3 += w3[i] * p
 			}
-			if l < len(n.W)-1 {
-				s = n.activate(s)
+			a[j], a[j+1], a[j+2], a[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(a); j++ {
+			w0 := row(W, j, prev)
+			s := B[j]
+			for i, p := range prev {
+				s += w0[i] * p
 			}
 			a[j] = s
+		}
+		if l < len(n.W)-1 {
+			n.activate(a)
 		}
 	}
 	return acts
@@ -161,6 +202,11 @@ func (n *Network) Predict(x []float64) []float64 {
 
 // TrainStep performs one SGD-with-momentum step on a single (x, target)
 // pair under MSE loss and returns the sample loss before the update.
+//
+// Each weight's update is g = d*p; m = momentum*m - lr*g; w = w + m, with
+// the incoming delta accumulated from the pre-update w in output-unit
+// order. The loops below fuse and skip work but keep exactly those
+// operations per element (TestTrainingGoldenDigest pins the bits).
 func (n *Network) TrainStep(x, target []float64, lr, momentum float64) float64 {
 	acts := n.forward(x)
 	L := len(n.W)
@@ -179,39 +225,107 @@ func (n *Network) TrainStep(x, target []float64, lr, momentum float64) float64 {
 	loss /= float64(len(out))
 
 	for l := L - 1; l >= 0; l-- {
-		in, outW := n.Sizes[l], n.Sizes[l+1]
-		prev := acts[l]
-		delta := n.deltas[l+1]
-		var nextDelta []float64
+		prev, delta := acts[l], n.deltas[l+1]
 		if l > 0 {
-			nextDelta = n.deltas[l]
-			for i := range nextDelta {
-				nextDelta[i] = 0
-			}
+			nextDelta := n.deltas[l]
+			clear(nextDelta)
+			backpropLayer(nextDelta, prev, delta, n.W[l], n.mW[l], lr, momentum)
+			n.scaleByActGrad(nextDelta, prev)
+		} else {
+			updateInputLayer(prev, delta, n.W[0], n.mW[0], lr, momentum, n.stuckUlps(momentum, lr))
 		}
-		for j := 0; j < outW; j++ {
-			d := delta[j]
-			wrow := n.W[l][j*in : (j+1)*in]
-			mrow := n.mW[l][j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				if nextDelta != nil {
-					nextDelta[i] += wrow[i] * d
-				}
-				g := d * prev[i]
-				mrow[i] = momentum*mrow[i] - lr*g
-				wrow[i] += mrow[i]
-			}
-			n.mB[l][j] = momentum*n.mB[l][j] - lr*d
-			n.B[l][j] += n.mB[l][j]
-		}
-		if l > 0 {
-			for i := 0; i < in; i++ {
-				nextDelta[i] *= n.activateGrad(acts[l][i])
-			}
+		mB, B := n.mB[l][:len(delta)], n.B[l][:len(delta)]
+		for j, d := range delta {
+			mB[j] = momentum*mB[j] - lr*d
+			B[j] += mB[j]
 		}
 	}
 	n.acts[0] = nil
 	return loss
+}
+
+// backpropLayer accumulates the delta of a hidden layer's inputs into
+// nextDelta (zeroed by the caller) and applies the layer's weight update.
+// Rows go in pairs: each weight is loaded once for both its share of
+// nextDelta and its own update, and nextDelta[i] still adds row j's term
+// before row j+1's.
+func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64) {
+	nextDelta = nextDelta[:len(prev)]
+	j := 0
+	for ; j+2 <= len(delta); j += 2 {
+		d0, d1 := delta[j], delta[j+1]
+		w0, w1 := row(W, j, prev), row(W, j+1, prev)
+		m0, m1 := row(M, j, prev), row(M, j+1, prev)
+		for i, p := range prev {
+			a, b := w0[i], w1[i]
+			nextDelta[i] = nextDelta[i] + a*d0 + b*d1
+			ma := momentum*m0[i] - lr*(d0*p)
+			mb := momentum*m1[i] - lr*(d1*p)
+			m0[i], m1[i] = ma, mb
+			w0[i], w1[i] = a+ma, b+mb
+		}
+	}
+	if j < len(delta) {
+		d0 := delta[j]
+		w0, m0 := row(W, j, prev), row(M, j, prev)
+		for i, p := range prev {
+			a := w0[i]
+			nextDelta[i] += a * d0
+			ma := momentum*m0[i] - lr*(d0*p)
+			m0[i] = ma
+			w0[i] = a + ma
+		}
+	}
+}
+
+// updateInputLayer applies the input layer's weight update, skipping the
+// updates that provably leave w and m unchanged (see stuckUlps): where the
+// input is 0 and d and lr are finite, lr*(d*p) is ±0, so
+// m = momentum*m - lr*(d*p) = m whenever |m| is 1..k ulps; and |m| <=
+// 2^20 ulps = 2^-1054 is under half an ulp of any |w| >= 2^-1000, so
+// w + m = w. Served policies hit this on every retrain: an input column
+// the scaler maps to exactly 0 leaves its momentum at a subnormal fixed
+// point, and each subnormal multiply costs a microcode assist.
+func updateInputLayer(x, delta, W, M []float64, lr, momentum float64, k uint64) {
+	const signBit = 1 << 63
+	for j, d := range delta {
+		w, m := row(W, j, x), row(M, j, x)
+		rowK := k
+		if !(math.Abs(d) <= math.MaxFloat64) {
+			rowK = 0 // d is ±Inf or NaN: d*0 is NaN, nothing is a no-op
+		}
+		for i, p := range x {
+			if p == 0 && math.Float64bits(m[i])&^signBit-1 < rowK && math.Abs(w[i]) >= 0x1p-1000 {
+				continue
+			}
+			mi := momentum*m[i] - lr*(d*p)
+			m[i] = mi
+			w[i] += mi
+		}
+	}
+}
+
+// stuckUlps returns the largest k <= 2^20 such that momentum*m == m for
+// every subnormal m of 1..k ulps (either sign), or 0 when lr is not
+// finite. It is 5 for momentum 0.9: float64(0.9) lies just above 0.9, so
+// 0.9 * (5 ulps) = 4.5000...01 ulps rounds back to 5. It is computed with
+// the actual multiplies and cached per (momentum, lr).
+func (n *Network) stuckUlps(momentum, lr float64) uint64 {
+	if n.stuck.valid && n.stuck.momentum == momentum && n.stuck.lr == lr {
+		return n.stuck.k
+	}
+	var k uint64
+	if math.Abs(lr) <= math.MaxFloat64 {
+		for k < 1<<20 {
+			m := math.Float64frombits(k + 1)
+			if momentum*m != m || momentum*-m != -m {
+				break
+			}
+			k++
+		}
+	}
+	n.stuck.valid, n.stuck.momentum, n.stuck.lr, n.stuck.k = true, momentum, lr, k
+	return k
 }
 
 // TrainEpochs runs full-batch epochs of per-sample SGD over the dataset in
