@@ -807,6 +807,39 @@ func BenchmarkServeStepThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
+// BenchmarkStepDecode measures the step endpoint's body decode alone.
+// canonical is a json.Marshal'd StepRequest, which takes the hand-written
+// fast path; fallback is the same body with one key case-folded, which only
+// encoding/json accepts, so it measures the reference decoder.
+func BenchmarkStepDecode(b *testing.B) {
+	_, tel := benchServer(b)
+	canonical, err := json.Marshal(serve.StepRequest{StepTelemetry: tel})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fallback := bytes.Replace(canonical, []byte(`"threads"`), []byte(`"Threads"`), 1)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"canonical", canonical}, {"fallback", fallback}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var dec serve.StepDecoder
+			req := httptest.NewRequest(http.MethodPost, "/", nil)
+			req.ContentLength = int64(len(bc.body))
+			rb := &reusableBody{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rb.r.Reset(bc.body)
+				req.Body = rb
+				if _, err := dec.Decode(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(bc.body)), "body_bytes")
+		})
+	}
+}
+
 // BenchmarkServeBatchStep measures POST /v1/step/batch: 16 sessions x 4
 // telemetry records per request, the fleet-aggregator shape.
 func BenchmarkServeBatchStep(b *testing.B) {

@@ -25,6 +25,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -268,16 +269,19 @@ func (s *Store) rollLocked() error {
 }
 
 // encodeRecord frames one record: u32 payload length, u32 CRC32(payload),
-// payload. The payload is snap-encoded (kind, id, snapshot bytes).
+// payload. The payload is snap-encoded (kind, id, snapshot bytes). The
+// record is built in one exactly-sized buffer.
 func encodeRecord(kind int, id string, snapshot []byte) []byte {
+	n := 1 + 4 + len(id) + len(snapshot)
 	var e snap.Encoder
+	e.Grow(8 + n)
+	e.U32(uint32(n))
+	e.U32(0) // CRC, filled in once the payload is written
 	e.U8(uint8(kind))
 	e.String(id)
-	payload := append(e.Bytes(), snapshot...)
-	var h snap.Encoder
-	h.U32(uint32(len(payload)))
-	h.U32(crc32.ChecksumIEEE(payload))
-	return append(h.Bytes(), payload...)
+	rec := append(e.Bytes(), snapshot...)
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
+	return rec
 }
 
 // Append records a session snapshot. The snapshot bytes are copied into the

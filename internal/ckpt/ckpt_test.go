@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -437,4 +439,31 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 			t.Fatal("replaced-segment debris survived recovery")
 		}
 	})
+}
+
+// TestRecordFraming pins the record bytes: u32 payload length, u32
+// CRC-32 of the payload, then the payload (kind byte, u32-prefixed id,
+// snapshot), all little-endian — built here byte by byte, independently of
+// the encoder, for puts and tombstones alike.
+func TestRecordFraming(t *testing.T) {
+	for _, tc := range []struct {
+		kind     int
+		id       string
+		snapshot []byte
+	}{
+		{recordPut, "r-1", bytes.Repeat([]byte{0xa5, 0x00, 0xff}, 4500)},
+		{recordPut, "", []byte{}},
+		{recordDelete, "session-ü", nil},
+	} {
+		payload := []byte{byte(tc.kind)}
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tc.id)))
+		payload = append(payload, tc.id...)
+		payload = append(payload, tc.snapshot...)
+		want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+		want = append(want, payload...)
+		if got := encodeRecord(tc.kind, tc.id, tc.snapshot); !bytes.Equal(got, want) {
+			t.Fatalf("record for %q:\n got % x\nwant % x", tc.id, got[:min(len(got), 32)], want[:min(len(want), 32)])
+		}
+	}
 }

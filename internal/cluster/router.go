@@ -9,7 +9,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -51,8 +53,13 @@ type RouterOptions struct {
 	QueueWait time.Duration
 	// ProbeInterval between membership probes (0 = 500ms).
 	ProbeInterval time.Duration
-	// Client performs all backend HTTP calls (nil = a dedicated client with
-	// a 10s timeout).
+	// Client configures backend HTTP calls (nil = a dedicated client with a
+	// 10s timeout). Forwarded calls go straight to its Transport
+	// (http.DefaultTransport when nil), and its Timeout, when set and
+	// shorter than CallTimeout, caps each call's deadline; errors read as
+	// Client.Do's would. Redirects are not followed and no cookie jar is
+	// consulted: a backend's 3xx answer is proxied as is. Readiness probes
+	// use the client itself.
 	Client *http.Client
 	// CallTimeout bounds every forwarded backend call (0 = 5s). One hung
 	// backend must cost one deadline, never a wedged front tier.
@@ -101,6 +108,7 @@ type Router struct {
 	loadBound    float64
 	interval     time.Duration
 	client       *http.Client
+	transport    http.RoundTripper
 	callTimeout  time.Duration
 	probeTimeout time.Duration
 	retries      int
@@ -189,6 +197,10 @@ func NewRouter(opt RouterOptions) *Router {
 		opt.FailAfter = 3
 	}
 	reg := metrics.NewRegistry()
+	transport := opt.Client.Transport
+	if transport == nil {
+		transport = http.DefaultTransport // what Client.Do would use
+	}
 	rt := &Router{
 		backends:     append([]string(nil), opt.Backends...),
 		instance:     opt.Instance,
@@ -197,6 +209,7 @@ func NewRouter(opt RouterOptions) *Router {
 		loadBound:    opt.LoadBound,
 		interval:     opt.ProbeInterval,
 		client:       opt.Client,
+		transport:    transport,
 		callTimeout:  opt.CallTimeout,
 		probeTimeout: opt.ProbeTimeout,
 		retries:      opt.Retries,
@@ -623,31 +636,49 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// doOnce is a single deadline-bounded backend call.
+// doOnce is a single deadline-bounded backend call. It sends straight
+// through the client's Transport: http.Client.Do would add a header clone,
+// a request fork and a timer wrapper per call for redirect, cookie and
+// timeout machinery the router does not use. What of it the router does
+// use is kept here: the client's Timeout caps the deadline, and errors are
+// wrapped in *url.Error with Client.Do's text.
 func (rt *Router) doOnce(ctx context.Context, method, backend, path string, body []byte, contentType string) ([]byte, int, http.Header, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.callTimeout)
+	timeout := rt.callTimeout
+	var clientDeadline time.Time // set when the client's Timeout is the cap
+	if ct := rt.client.Timeout; ct > 0 && ct < timeout {
+		timeout = ct
+		clientDeadline = time.Now().Add(ct)
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, backend+path, rd)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	if contentType != "" {
+	if contentType == "application/json" {
+		req.Header["Content-Type"] = contentTypeJSON
+	} else if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := rt.client.Do(req)
+	if u := req.URL.User; u != nil {
+		pass, _ := u.Password()
+		req.SetBasicAuth(u.Username(), pass)
+	}
+	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
 		rt.mProxyErrors.Inc()
-		return nil, 0, nil, err
+		err = clientTimeout(err, clientDeadline, "exceeded while awaiting headers")
+		return nil, 0, nil, &url.Error{Op: urlErrorOp(method), URL: redactedURL(req.URL), Err: err}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		rt.mProxyErrors.Inc()
-		return nil, 0, nil, err
+		return nil, 0, nil, clientTimeout(err, clientDeadline, "or context cancellation while reading body")
 	}
 	// A backend that just promoted a warm-standby replica says so in a
 	// response header; counting here gives the cluster-wide promotion view
@@ -660,6 +691,45 @@ func (rt *Router) doOnce(ctx context.Context, method, backend, path string, body
 	}
 	rt.mProxied.Inc()
 	return data, resp.StatusCode, resp.Header, nil
+}
+
+// contentTypeJSON is the shared, read-only Content-Type value of forwarded
+// requests and proxied responses (net/http never writes header values).
+var contentTypeJSON = []string{"application/json"}
+
+// clientTimeout rewrites err the way http.Client reports its own Timeout
+// firing: when clientDeadline is set and has passed, the error names
+// Client.Timeout and still matches context.DeadlineExceeded.
+func clientTimeout(err error, clientDeadline time.Time, during string) error {
+	if clientDeadline.IsZero() || !time.Now().After(clientDeadline) {
+		return err
+	}
+	return &clientTimeoutError{err.Error() + " (Client.Timeout " + during + ")"}
+}
+
+// clientTimeoutError mirrors net/http's unexported timeout error.
+type clientTimeoutError struct{ msg string }
+
+func (e *clientTimeoutError) Error() string   { return e.msg }
+func (e *clientTimeoutError) Timeout() bool   { return true }
+func (e *clientTimeoutError) Temporary() bool { return true }
+func (e *clientTimeoutError) Is(err error) bool {
+	return err == context.DeadlineExceeded
+}
+
+// urlErrorOp is url.Error's Op for a method, as Client.Do spells it
+// ("Post", "Get", ...).
+func urlErrorOp(method string) string {
+	return method[:1] + strings.ToLower(method[1:])
+}
+
+// redactedURL is the URL as Client.Do puts it in errors: any password
+// replaced by "***".
+func redactedURL(u *url.URL) string {
+	if _, set := u.User.Password(); set {
+		return strings.Replace(u.String(), u.User.String()+"@", u.User.Username()+":***@", 1)
+	}
+	return u.String()
 }
 
 // route resolves a session id to its backend: the relocation cache wins
@@ -828,7 +898,7 @@ const maxRouterBody = 8 << 20
 
 func (rt *Router) writeProxied(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = contentTypeJSON
 	if status == http.StatusTooManyRequests {
 		// The backend shed this request; keep its back-off contract intact
 		// through the proxy hop.

@@ -11,6 +11,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -139,5 +140,26 @@ func TestDirectStepBatchAllocFree(t *testing.T) {
 		results = srv.StepBatch(entries, results[:0])
 	}); avg != 0 {
 		t.Fatalf("direct StepBatch allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestFastPathAllocFree pins the step body decode (StepDecoder, the
+// handler's own) at zero allocations for a json.Marshal'd body.
+func TestFastPathAllocFree(t *testing.T) {
+	body := mustMarshal(t, randomStepRequest(rand.New(rand.NewSource(3))))
+	var dec StepDecoder
+	r := httptest.NewRequest(http.MethodPost, "/", nil)
+	r.ContentLength = int64(len(body))
+	rb := &replayBody{}
+	decode := func() {
+		rb.r.Reset(body)
+		r.Body = rb
+		if _, err := dec.Decode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if avg := testing.AllocsPerRun(200, decode); avg != 0 {
+		t.Fatalf("fast-path decode allocates %.1f objects per body, want 0", avg)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -507,7 +508,9 @@ func (s *Server) StepBatch(entries []BatchEntry, results []BatchResult) []BatchR
 		// The canonical interned id, not a fresh copy of the request bytes:
 		// the found path of a fleet tick allocates no strings at all.
 		res.Session = sess.ID
-		configs, err := s.stepEach(sess, e.Steps, res.Configs)
+		// One allocation when a fresh slot first sees this many steps,
+		// not one per doubling.
+		configs, err := s.stepEach(sess, e.Steps, slices.Grow(res.Configs, len(e.Steps)))
 		res.Configs = configs
 		if err != nil {
 			res.Status = StepRejected
@@ -758,23 +761,24 @@ type BatchResponse struct {
 
 // stepScratch is the pooled per-request workspace of the step endpoints:
 // the decoded requests (whose Steps/Entries backing arrays — including the
-// nested per-entry Steps storage — the decoder reuses) and the responses
+// nested per-entry Steps storage — the decoders reuse) and the responses
 // with their Configs/Results storage. Pooling it keeps the per-step JSON
 // path allocation-free without any per-session state in the HTTP layer.
-// Both single steps and batches decode on a persistent json.Decoder (see
-// decode), whose internal read buffer amortizes across requests; batch
-// session ids (SessionRef) alias that buffer, which stays untouched until
-// the next request's decode. The body buffer is the response encode
-// target, with a persistent Encoder bound to it.
+// The body buffer holds a request body of known length while it is parsed
+// (batch session ids alias it until the response is encoded) and is then
+// the response encode target, with a persistent Encoder bound to it. Bodies
+// the fast parser does not take decode on a persistent json.Decoder (see
+// decode), whose internal read buffer amortizes across requests.
 type stepScratch struct {
-	req   StepRequest
-	body  bytes.Buffer
-	batch BatchRequest
-	resp  StepResponse
-	bresp BatchResponse
-	lim   io.LimitedReader
-	dec   *json.Decoder // persistent, reads through &lim; see decode
-	enc   *json.Encoder // bound to &body, created on first response
+	req    StepRequest
+	body   bytes.Buffer
+	batch  BatchRequest
+	resp   StepResponse
+	bresp  BatchResponse
+	lim    io.LimitedReader
+	replay replayReader
+	dec    *json.Decoder // persistent, reads through &lim; see decode
+	enc    *json.Encoder // bound to &body, created on first response
 }
 
 var stepScratchPool = sync.Pool{New: func() any { return &stepScratch{} }}
@@ -786,8 +790,8 @@ var contentTypeJSON = []string{"application/json"}
 
 // maxStepBody bounds step/batch request bodies. A full batch tick for a
 // thousand sessions is well under a megabyte; anything larger is a broken
-// or hostile client, and the pre-sized read buffer below must never trust
-// an attacker-controlled Content-Length into a giant allocation.
+// or hostile client. The body buffer grows only as bytes arrive and is
+// never sized from an attacker-controlled Content-Length.
 const maxStepBody = 8 << 20
 
 // MaxBatchEntries bounds entries per POST /v1/step/batch request (413 past
@@ -796,16 +800,55 @@ const maxStepBody = 8 << 20
 // probes; the entry cap bounds the work a single request can demand.
 const MaxBatchEntries = 4096
 
-// decode reads one JSON value from the request body into v through the
-// scratch's persistent decoder — a json.Decoder is built for streams of
-// values, so successive request bodies decode on one decoder whose read
-// buffer, scanner and decode state all amortize to zero allocations. The
-// decoder is compromised whenever a body was malformed (sticky error
-// state) or carried trailing data (which would leak into the next
-// request's decode), so either condition rebuilds it on the next request.
+// replayReader yields buffered body bytes, then the error the body read
+// ended with, so the fallback decoder sees exactly the stream it would
+// have read from the body itself.
+type replayReader struct {
+	b   []byte
+	err error
+}
+
+func (r *replayReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// decode reads one request body into scr.req or scr.batch (v is the one
+// to fill; the caller has reset it). A body of known length up to
+// maxStepBody is read whole into the body buffer and parsed by the fast
+// path (stepbody.go). Every other body — one the fast path does not take,
+// replayed from the buffer into a freshly reset request, or one of unknown
+// length, streamed — goes through the scratch's persistent json.Decoder:
+// a json.Decoder is built for streams of values, so successive request
+// bodies decode on one decoder whose read buffer, scanner and decode state
+// all amortize to zero allocations. The decoder is compromised whenever a
+// body was malformed (sticky error state) or carried trailing data (which
+// would leak into the next request's decode), so either condition
+// rebuilds it on the next request.
 func (scr *stepScratch) decode(r *http.Request, v any) error {
 	scr.lim.R = r.Body
 	scr.lim.N = maxStepBody + 1
+	defer func() {
+		scr.lim.R = nil // never retain a request body in the pool
+		scr.replay = replayReader{}
+	}()
+	if r.ContentLength >= 0 && r.ContentLength <= maxStepBody {
+		scr.body.Reset()
+		_, err := scr.body.ReadFrom(&scr.lim)
+		if err == nil {
+			if scr.parse(v) {
+				return nil
+			}
+			err = io.EOF
+		}
+		scr.replay = replayReader{b: scr.body.Bytes(), err: err}
+		scr.lim.R = &scr.replay
+		scr.lim.N = maxStepBody + 1
+	}
 	if scr.dec == nil {
 		scr.dec = json.NewDecoder(&scr.lim)
 	}
@@ -813,8 +856,26 @@ func (scr *stepScratch) decode(r *http.Request, v any) error {
 	if err != nil || scr.decTainted() {
 		scr.dec = nil
 	}
-	scr.lim.R = nil // never retain a request body in the pool
 	return err
+}
+
+// parse runs the fast path for v on the buffered body (see stepbody.go).
+// When the fast path does not take the body, v is reset for the fallback.
+func (scr *stepScratch) parse(v any) bool {
+	b := scr.body.Bytes()
+	switch v := v.(type) {
+	case *StepRequest:
+		if parseStepBody(b, v) {
+			return true
+		}
+		scr.resetStep()
+	case *BatchRequest:
+		if parseBatchBody(b, v) {
+			return true
+		}
+		scr.resetBatch()
+	}
+	return false
 }
 
 // decTainted reports whether the decoder holds buffered bytes beyond the

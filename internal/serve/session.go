@@ -65,6 +65,9 @@ type Session struct {
 	energyJ  float64
 	lastCfg  soc.Config
 	closed   bool
+	// envLen is the length of the session's last snapshot envelope; the
+	// next export pre-sizes its encoder from it.
+	envLen int
 }
 
 // step runs one decision: telemetry in, next configuration out, mirroring

@@ -48,8 +48,12 @@ func decodeConfig(d *snap.Decoder) soc.Config {
 }
 
 // encodeSessionLocked writes the full session snapshot. The caller holds
-// sess.mu, so the decider and telemetry fields are a consistent cut.
+// sess.mu, so the decider and telemetry fields are a consistent cut. The
+// encoder is pre-sized from the session's previous envelope, which a
+// steady session repeats byte for byte in length.
 func (s *Server) encodeSessionLocked(sess *Session, e *snap.Encoder) error {
+	e.Grow(sess.envLen)
+	defer func() { sess.envLen = e.Len() }()
 	e.U32(snapshotMagic)
 	e.U16(SnapshotVersion)
 	e.String(sess.ID)

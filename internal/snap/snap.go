@@ -13,6 +13,7 @@ package snap
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoder appends values to a growing buffer. The zero value is ready to
@@ -26,6 +27,11 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow ensures room for n more bytes without reallocating, so an encoder
+// sized from a known or previous length fills one buffer instead of
+// doubling through several. It never changes the encoded bytes.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
