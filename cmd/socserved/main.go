@@ -149,14 +149,13 @@ func main() {
 			log.Printf("CHAOS PARTITION: this process cannot reach %v", hosts)
 		}
 	}
-	// outboundTransport chaos-wraps every client this process dials with, so
-	// -chaos-partition blackholes the real traffic (router calls, replica
-	// pushes, drain handoffs) — not just inbound requests.
-	outboundTransport := func() http.RoundTripper {
-		if inj == nil {
-			return nil
-		}
-		return inj.Transport(nil)
+	// outbound is the one client this process dials peers with: router
+	// calls, drain handoffs, replica pushes and recovery's peer checks. Its
+	// transport is chaos-wrapped, so -chaos-partition blackholes the real
+	// traffic, not just inbound requests.
+	outbound := &http.Client{Timeout: 10 * time.Second}
+	if inj != nil {
+		outbound.Transport = inj.Transport(nil)
 	}
 	peerList := splitURLs(*peers)
 	switch *mode {
@@ -184,7 +183,7 @@ func main() {
 			MaxInflight:   *maxInflight,
 			MaxQueue:      *maxQueue,
 			QueueWait:     *queueWait,
-			Client:        &http.Client{Timeout: 10 * time.Second, Transport: outboundTransport()},
+			Client:        outbound,
 		}, *addr, inj, fail)
 		return
 	default:
@@ -274,7 +273,7 @@ func main() {
 			Peers:       peerList,
 			VNodes:      *vnodes,
 			CallTimeout: *callTimeout,
-			Client:      &http.Client{Timeout: 10 * time.Second, Transport: outboundTransport()},
+			Client:      outbound,
 		}
 		handler = cluster.BackendHandler(drainer)
 		log.Printf("backend mode: draining to %d peers", len(peerList))
@@ -319,7 +318,7 @@ func main() {
 			QueueSize:   *replicaQueue,
 			CallTimeout: *callTimeout,
 			Registry:    srv.Metrics(),
-			Client:      &http.Client{Timeout: 10 * time.Second, Transport: outboundTransport()},
+			Client:      outbound,
 			// A standby that 409s a push holds a fresher epoch: fence our
 			// stale copy so the next step here redirects instead of forking.
 			OnStale: srv.FenceStale,
@@ -399,7 +398,7 @@ func main() {
 		// (the live copy outranks our checkpoint) and tombstoned.
 		go func() {
 			t0 := time.Now()
-			rep, err := cluster.Recover(srv, ckStore, *selfURL, peerList, nil, *probeTimeout)
+			rep, err := cluster.Recover(srv, ckStore, *selfURL, peerList, outbound, *probeTimeout)
 			if err != nil {
 				log.Printf("recovery: %v", err)
 			}

@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -25,7 +22,9 @@ type Drainer struct {
 	Peers []string
 	// VNodes must match the router's ring construction (<=0 = DefaultVNodes).
 	VNodes int
-	// Client performs the handoff HTTP calls (nil = 10s-timeout client).
+	// Client performs the handoff HTTP calls through the cluster's shared
+	// peer call (nil = 10s-timeout client); peer readiness is probed with
+	// the client itself.
 	Client *http.Client
 	// RefusalLimit is how many import refusals a reachable peer may return
 	// during one drain before it is skipped for the rest of the pass
@@ -50,139 +49,58 @@ type DrainReport struct {
 	Targets []string `json:"targets"`
 }
 
-func (d *Drainer) client() *http.Client {
-	if d.Client != nil {
-		return d.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
-
-func (d *Drainer) callTimeout() time.Duration {
-	if d.CallTimeout > 0 {
-		return d.CallTimeout
-	}
-	return 5 * time.Second
-}
-
-func (d *Drainer) refusalLimit() int {
-	if d.RefusalLimit > 0 {
-		return d.RefusalLimit
-	}
-	return 3
-}
-
-// get performs one deadline-bounded GET.
-func (d *Drainer) get(c *http.Client, url string) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.callTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// readyPeers probes the peer list and returns those answering ready,
-// excluding self.
-func (d *Drainer) readyPeers() []string {
-	c := d.client()
-	var up []string
-	for _, p := range d.Peers {
-		if p == "" || p == d.Self {
-			continue
-		}
-		if status, err := d.get(c, p+"/readyz"); err == nil && status == http.StatusOK {
-			up = append(up, p)
-		}
-	}
-	return up
-}
-
 // Drain stops admission and streams every session to the ready peers. Each
 // session is detached (removed + quiesced + snapshotted in one step — the
-// per-session handoff lock), imported at its ring owner among the targets,
-// and re-imported locally if every target refuses, so a drain never loses
-// a session silently. Sessions keep stepping until the moment their own
-// detach, and a step racing its session's handoff fails with a retryable
-// conflict that the router's relocation chase absorbs.
+// per-session handoff lock), handed off to its ring owner among the targets
+// or the next one that takes it, and re-imported locally if every target
+// refuses, so a drain never loses a session silently. A target that already
+// hosts a fresher live copy counts as drained: the stale local copy is
+// dropped. Sessions keep stepping until the moment their own detach, and a
+// step racing its session's handoff fails with a retryable conflict that
+// the router's relocation chase absorbs.
 func (d *Drainer) Drain() (DrainReport, error) {
 	d.Server.BeginDrain()
-	targets := d.readyPeers()
+	p := newPeer(d.Client, d.CallTimeout)
+	var targets []string
+	for _, addr := range d.Peers {
+		if addr == "" || addr == d.Self {
+			continue
+		}
+		if up, _ := p.ready(addr, p.timeout); up {
+			targets = append(targets, addr)
+		}
+	}
 	rep := DrainReport{Targets: targets}
 	if len(targets) == 0 {
 		rep.Remaining = d.Server.SessionCount()
 		return rep, fmt.Errorf("drain: no ready peers; %d sessions stay resident", rep.Remaining)
 	}
 	ring := NewRing(targets, d.VNodes)
-	c := d.client()
+	limit := d.RefusalLimit
+	if limit <= 0 {
+		limit = defaultRefusalLimit
+	}
 	// refusals counts import rejections per reachable peer across the whole
 	// pass; a peer past the limit is skipped for every later session.
 	refusals := make(map[string]int, len(targets))
 	for _, id := range d.Server.SessionIDs() {
-		snapData, err := d.Server.DetachSession(id)
+		env, err := d.Server.DetachSession(id)
 		if err != nil {
 			// Already gone (closed or migrated away concurrently).
 			continue
 		}
-		if d.place(c, ring, id, snapData, refusals) {
+		if handoff(p.call, id, d.Self, env, append([]string{ring.Owner(id)}, ring.Nodes()...), refusals, limit) != "" {
 			rep.Drained++
-		} else {
-			// Nobody took it: bring it home rather than drop it. The local
-			// import bypasses the draining gate by design.
-			if _, err := d.Server.ImportSession(snapData); err != nil {
-				// The snapshot came from this very server moments ago; an
-				// import failure here means the session is truly lost.
-				rep.Failed++
-				continue
-			}
-			rep.Failed++
+			continue
 		}
+		// Nobody took it: bring it home rather than drop it. The local import
+		// bypasses the draining gate by design; it fails only if the session
+		// is truly lost.
+		_, _ = d.Server.ImportSession(env)
+		rep.Failed++
 	}
 	rep.Remaining = d.Server.SessionCount()
 	return rep, nil
-}
-
-// place imports the snapshot at its ring owner, then at every other target,
-// skipping peers that already refused refusalLimit imports this pass.
-func (d *Drainer) place(c *http.Client, ring *Ring, id string, snapData []byte, refusals map[string]int) bool {
-	targets := append([]string{ring.Owner(id)}, ring.Nodes()...)
-	tried := map[string]bool{}
-	limit := d.refusalLimit()
-	for _, t := range targets {
-		if t == "" || tried[t] || refusals[t] >= limit {
-			continue
-		}
-		tried[t] = true
-		ctx, cancel := context.WithTimeout(context.Background(), d.callTimeout())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			t+"/v1/sessions/import", bytes.NewReader(snapData))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.Do(req)
-		cancel()
-		if err != nil {
-			// Unreachable counts too: a dead peer should stop eating one
-			// timeout per remaining session.
-			refusals[t]++
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusCreated {
-			return true
-		}
-		refusals[t]++
-	}
-	return false
 }
 
 // BackendHandler wraps a backend's serving routes with the cluster admin

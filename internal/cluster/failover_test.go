@@ -523,7 +523,7 @@ func TestChaosTornCheckpointWrites(t *testing.T) {
 	}
 	defer store2.Close()
 	srv2 := serve.New(serve.Options{Platform: p})
-	restored, _, err := srv2.RecoverFromStore(store2)
+	restored, _, _, err := srv2.RecoverFromStore(store2, nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

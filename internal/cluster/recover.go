@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 
@@ -23,78 +22,36 @@ type RecoverReport struct {
 	Damaged []string
 }
 
-// Recover replays a backend's checkpoint store into srv at startup. Before
-// re-importing each session it asks the peers whether the session is
-// already live elsewhere: a crash long enough for the router to fail this
-// backend over means the standbys promoted replicas, and the promoted copy
-// — which kept stepping — outranks our checkpoint. Such sessions are
-// skipped and tombstoned in the store (the live owner checkpoints them
-// now). With no peers (standalone), every stored session restores.
+// Recover replays a backend's checkpoint store into srv at startup through
+// serve.Server.RecoverFromStore, asking the peers before re-importing each
+// session whether it is already live elsewhere: a crash long enough for the
+// router to fail this backend over means the standbys promoted replicas,
+// and the promoted copy — which kept stepping — outranks our checkpoint.
+// Such sessions are skipped and tombstoned in the store (the live owner
+// checkpoints them now). With no peers (standalone), every stored session
+// restores. Each peer check is one shared peer call under timeout
+// (0 = 2s).
 //
 // Callers hold srv in recovering mode (SetRecovering) around this call so
 // /readyz stays false until the replay completes.
 func Recover(srv *serve.Server, store *ckpt.Store, self string, peers []string, client *http.Client, timeout time.Duration) (RecoverReport, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	others := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if p != "" && p != self {
-			others = append(others, p)
+	p := newPeer(client, timeout)
+	liveOnPeer := func(id string) bool {
+		for _, o := range peers {
+			if o == "" || o == self {
+				continue
+			}
+			if _, status, _, err := p.call(context.Background(), http.MethodGet, o, "/v1/sessions/"+id, nil, ""); err == nil && status == http.StatusOK {
+				return true
+			}
 		}
+		return false
 	}
 	var rep RecoverReport
-	var firstErr error
-	damaged, err := store.Replay(func(id string, snapshot []byte) {
-		if _, err := srv.Info(id); err == nil {
-			return // already live here (imported onto us before recovery ran)
-		}
-		if liveOnPeer(client, others, id, timeout) {
-			rep.Skipped++
-			// The live owner checkpoints this session now; drop our stale
-			// record so a second restart doesn't re-ask.
-			if derr := store.Delete(id); derr != nil && firstErr == nil {
-				firstErr = derr
-			}
-			return
-		}
-		if _, ierr := srv.ImportSession(snapshot); ierr != nil {
-			if firstErr == nil {
-				firstErr = ierr
-			}
-			return
-		}
-		rep.Restored++
-	})
-	rep.Damaged = damaged
-	if err != nil {
-		return rep, err
-	}
-	return rep, firstErr
-}
-
-// liveOnPeer reports whether any peer currently hosts the session.
-func liveOnPeer(client *http.Client, peers []string, id string, timeout time.Duration) bool {
-	for _, p := range peers {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p+"/v1/sessions/"+id, nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := client.Do(req)
-		cancel()
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			return true
-		}
-	}
-	return false
+	var err error
+	rep.Restored, rep.Skipped, rep.Damaged, err = srv.RecoverFromStore(store, liveOnPeer)
+	return rep, err
 }

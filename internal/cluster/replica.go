@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -41,7 +39,8 @@ type ReplicatorOptions struct {
 	VNodes int
 	// QueueSize bounds each per-peer queue in records (0 = 256).
 	QueueSize int
-	// Client performs the pushes (nil = 10s-timeout client).
+	// Client performs the pushes and replica fetches through the cluster's
+	// shared peer call (nil = 10s-timeout client).
 	Client *http.Client
 	// CallTimeout bounds each push (0 = 5s).
 	CallTimeout time.Duration
@@ -64,6 +63,7 @@ type repItem struct {
 type Replicator struct {
 	opt  ReplicatorOptions
 	ring *Ring
+	peer peer
 
 	mu       sync.Mutex
 	queues   map[string]chan repItem
@@ -87,12 +87,6 @@ func NewReplicator(opt ReplicatorOptions) *Replicator {
 	if opt.QueueSize <= 0 {
 		opt.QueueSize = 256
 	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opt.CallTimeout <= 0 {
-		opt.CallTimeout = 5 * time.Second
-	}
 	reg := opt.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -106,6 +100,7 @@ func NewReplicator(opt ReplicatorOptions) *Replicator {
 	r := &Replicator{
 		opt:    opt,
 		ring:   NewRing(peers, opt.VNodes),
+		peer:   newPeer(opt.Client, opt.CallTimeout),
 		queues: make(map[string]chan repItem, len(peers)),
 		stop:   make(chan struct{}),
 		mPushed: reg.Counter("socserved_replica_pushed_total",
@@ -128,16 +123,6 @@ func NewReplicator(opt ReplicatorOptions) *Replicator {
 		go r.worker(p, q)
 	}
 	return r
-}
-
-// Standby returns the first peer that holds (or will hold) the replica for
-// id — the session's owner on the ring without self. Empty when no peers
-// exist.
-func (r *Replicator) Standby(id string) string { return r.ring.Owner(id) }
-
-// Standbys returns the peers holding replicas for id, in failover order.
-func (r *Replicator) Standbys(id string) []string {
-	return r.ring.Successors(id, r.opt.Fanout)
 }
 
 // Fanout returns the resolved standby count per session.
@@ -207,31 +192,16 @@ func (r *Replicator) worker(peer string, q chan repItem) {
 }
 
 func (r *Replicator) send(peer string, it repItem) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opt.CallTimeout)
-	defer cancel()
-	method, path := http.MethodPost, peer+"/v1/replica/"+it.id
-	var body io.Reader
+	method, contentType := http.MethodPost, "application/octet-stream"
 	if it.data == nil {
-		method = http.MethodDelete
-	} else {
-		body = bytes.NewReader(it.data)
+		method, contentType = http.MethodDelete, ""
 	}
-	req, err := http.NewRequestWithContext(ctx, method, path, body)
+	_, status, hdr, err := r.peer.call(context.Background(), method, peer, "/v1/replica/"+it.id, it.data, contentType)
 	if err != nil {
 		r.mErrors.Inc()
 		return
 	}
-	if it.data != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	resp, err := r.opt.Client.Do(req)
-	if err != nil {
-		r.mErrors.Inc()
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
+	switch status {
 	case http.StatusNoContent, http.StatusOK:
 		r.mPushed.Inc()
 	case http.StatusNotFound:
@@ -250,7 +220,7 @@ func (r *Replicator) send(peer string, it repItem) {
 		if it.data != nil {
 			r.mStale.Inc()
 			if r.opt.OnStale != nil {
-				if e, perr := strconv.ParseUint(resp.Header.Get(serve.HeaderEpoch), 10, 64); perr == nil {
+				if e, perr := strconv.ParseUint(hdr.Get(serve.HeaderEpoch), 10, 64); perr == nil {
 					r.opt.OnStale(it.id, e)
 				}
 			}
@@ -273,31 +243,12 @@ func (r *Replicator) PeerReplicas(id string) []serve.PeerReplica {
 	}
 	out := make([]serve.PeerReplica, 0, len(peers))
 	for _, peer := range peers {
-		ctx, cancel := context.WithTimeout(context.Background(), r.opt.CallTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/replica/"+id, nil)
-		if err != nil {
-			cancel()
+		data, status, hdr, err := r.peer.call(context.Background(), http.MethodGet, peer, "/v1/replica/"+id, nil, "")
+		if err != nil || status != http.StatusOK || len(data) == 0 {
 			continue
 		}
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			cancel()
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cancel()
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		epoch, _ := strconv.ParseUint(resp.Header.Get(serve.HeaderEpoch), 10, 64)
-		steps, _ := strconv.ParseUint(resp.Header.Get(serve.HeaderSteps), 10, 64)
+		epoch, _ := strconv.ParseUint(hdr.Get(serve.HeaderEpoch), 10, 64)
+		steps, _ := strconv.ParseUint(hdr.Get(serve.HeaderSteps), 10, 64)
 		out = append(out, serve.PeerReplica{Data: data, Epoch: epoch, Steps: steps})
 	}
 	return out

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,9 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -54,10 +51,10 @@ type RouterOptions struct {
 	// ProbeInterval between membership probes (0 = 500ms).
 	ProbeInterval time.Duration
 	// Client configures backend HTTP calls (nil = a dedicated client with a
-	// 10s timeout). Forwarded calls go straight to its Transport
-	// (http.DefaultTransport when nil), and its Timeout, when set and
-	// shorter than CallTimeout, caps each call's deadline; errors read as
-	// Client.Do's would. Redirects are not followed and no cookie jar is
+	// 10s timeout). Backend calls go through the cluster's shared peer
+	// call, straight to its Transport (http.DefaultTransport when nil); its
+	// Timeout, when set and shorter than CallTimeout, caps each call's
+	// deadline, and errors read as Client.Do's would. Redirects are not followed and no cookie jar is
 	// consulted: a backend's 3xx answer is proxied as is. Readiness probes
 	// use the client itself.
 	Client *http.Client
@@ -107,9 +104,7 @@ type Router struct {
 	weights      map[string]float64
 	loadBound    float64
 	interval     time.Duration
-	client       *http.Client
-	transport    http.RoundTripper
-	callTimeout  time.Duration
+	peer         peer
 	probeTimeout time.Duration
 	retries      int
 	retryBackoff time.Duration
@@ -176,12 +171,6 @@ func NewRouter(opt RouterOptions) *Router {
 	if opt.ProbeInterval <= 0 {
 		opt.ProbeInterval = 500 * time.Millisecond
 	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opt.CallTimeout <= 0 {
-		opt.CallTimeout = 5 * time.Second
-	}
 	if opt.ProbeTimeout <= 0 {
 		opt.ProbeTimeout = 2 * time.Second
 	}
@@ -197,10 +186,6 @@ func NewRouter(opt RouterOptions) *Router {
 		opt.FailAfter = 3
 	}
 	reg := metrics.NewRegistry()
-	transport := opt.Client.Transport
-	if transport == nil {
-		transport = http.DefaultTransport // what Client.Do would use
-	}
 	rt := &Router{
 		backends:     append([]string(nil), opt.Backends...),
 		instance:     opt.Instance,
@@ -208,9 +193,7 @@ func NewRouter(opt RouterOptions) *Router {
 		weights:      opt.Weights,
 		loadBound:    opt.LoadBound,
 		interval:     opt.ProbeInterval,
-		client:       opt.Client,
-		transport:    transport,
-		callTimeout:  opt.CallTimeout,
+		peer:         newPeer(opt.Client, opt.CallTimeout),
 		probeTimeout: opt.ProbeTimeout,
 		retries:      opt.Retries,
 		retryBackoff: opt.RetryBackoff,
@@ -299,7 +282,7 @@ func (rt *Router) Probe() bool {
 	changed := false
 	readyCount := 0
 	for _, b := range rt.backends {
-		up, responded := rt.probeOne(b)
+		up, responded := rt.peer.ready(b, rt.probeTimeout)
 		switch {
 		case up:
 			rt.failCount[b] = 0
@@ -349,25 +332,6 @@ func (rt *Router) Probe() bool {
 	rt.rebalanceLocked(ring)
 	rt.updateBackendGauges()
 	return true
-}
-
-// probeOne checks one backend's /readyz under the probe deadline. up is
-// whether it answered ready; responded is whether any HTTP response came
-// back at all (false = silent failure: refused, reset, timed out).
-func (rt *Router) probeOne(backend string) (up, responded bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+"/readyz", nil)
-	if err != nil {
-		return false, false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false, false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK, true
 }
 
 // sessionsOf lists a backend's live sessions.
@@ -422,6 +386,9 @@ func (rt *Router) place(ring *Ring, id string) string {
 // cheap; after an addition the new node's arc worth of sessions streams in.
 func (rt *Router) rebalanceLocked(ring *Ring) {
 	start := time.Now()
+	// refusals counts import rejections per backend across the whole pass,
+	// as a drain does: a backend past the limit is offered no more imports.
+	refusals := make(map[string]int, ring.Len())
 	for _, b := range ring.Nodes() {
 		ids, err := rt.sessionsOf(b)
 		if err != nil {
@@ -443,7 +410,7 @@ func (rt *Router) rebalanceLocked(ring *Ring) {
 					continue
 				}
 			}
-			rt.migrate(id, b, target, ring)
+			rt.migrate(id, b, target, ring, refusals)
 		}
 	}
 	rt.mRebalance.Observe(time.Since(start).Seconds())
@@ -451,87 +418,34 @@ func (rt *Router) rebalanceLocked(ring *Ring) {
 
 // migrate hands one session from one backend to another: detach (the
 // per-session handoff lock — the source removes, quiesces training and
-// snapshots in one call), then import at the destination, falling back to
-// any other ready backend rather than losing the session. Epoch fencing
-// arbitrates races: if another router (or a replica promotion) already
-// rehomed a fresher generation of the session, every import of this
-// now-stale snapshot is refused and the fresher copy stands.
-func (rt *Router) migrate(id, from, to string, ring *Ring) {
+// snapshots in one call), then hand off to the destination, falling back to
+// any other ready backend and at last back to the source rather than losing
+// the session. Epoch fencing arbitrates races: if another router (or a
+// replica promotion) already rehomed a fresher generation of the session,
+// every import of this now-stale snapshot is refused and the fresher copy
+// stands.
+func (rt *Router) migrate(id, from, to string, ring *Ring, refusals map[string]int) {
 	ctx := context.Background()
-	snapData, status, err := rt.do(ctx, http.MethodPost, from, "/v1/sessions/"+id+"/detach", nil, "")
+	env, status, err := rt.do(ctx, http.MethodPost, from, "/v1/sessions/"+id+"/detach", nil, "")
 	if err != nil || status != http.StatusOK {
 		// Someone else (a drain, a concurrent probe) already moved it.
 		return
 	}
-	targets := append([]string{to}, ring.Nodes()...)
-	for _, t := range targets {
-		if t == from {
-			continue
+	if t := handoff(rt.doHdr, id, from, env, append([]string{to}, ring.Nodes()...), refusals, defaultRefusalLimit); t != "" {
+		rt.mMigrations.Inc()
+		if t == ring.Owner(id) {
+			rt.relocations.Delete(id)
+		} else {
+			rt.relocations.Store(id, t)
 		}
-		_, status, err = rt.do(ctx, http.MethodPost, t, "/v1/sessions/import", snapData, "application/octet-stream")
-		if err == nil && status == http.StatusConflict {
-			// The target holds (or has fenced) this id at an epoch our
-			// snapshot cannot outrank — typically a replica it promoted while
-			// the source was unreachable, or a racing router's migration that
-			// won. The fresher copy stands; our detached bytes are a stale
-			// generation, correctly discarded.
-			if !rt.resolveConflict(t, id, snapData) {
-				continue
-			}
-			status = http.StatusCreated
-		}
-		if err == nil && status == http.StatusCreated {
-			rt.mMigrations.Inc()
-			if t == ring.Owner(id) {
-				rt.relocations.Delete(id)
-			} else {
-				rt.relocations.Store(id, t)
-			}
-			return
-		}
+		return
 	}
 	// Last resort: put it back where it came from.
-	if _, status, err = rt.do(ctx, http.MethodPost, from, "/v1/sessions/import", snapData, "application/octet-stream"); err == nil && status == http.StatusCreated {
+	if _, status, err = rt.do(ctx, http.MethodPost, from, "/v1/sessions/import", env, "application/octet-stream"); err == nil && status == http.StatusCreated {
 		rt.relocations.Store(id, from)
 		return
 	}
 	rt.mFailedHandoffs.Inc()
-}
-
-// resolveConflict settles an import 409: the backend refused the router's
-// detached snapshot. Epochs are the authority — the backend accepts any
-// import that outranks its resident copy, so a 409 means the resident (or
-// the fence left by a fresher generation) outranks the snapshot. Returns
-// true when a live copy of the session exists on the backend (the migration
-// converges there); false sends the caller on to other targets.
-func (rt *Router) resolveConflict(backend, id string, snapData []byte) bool {
-	_, snapEpoch, snapSteps, err := serve.SnapshotMeta(snapData)
-	if err != nil {
-		// Unreadable snapshot can't outrank anything; if the backend hosts
-		// the session live, that copy is the session.
-		snapEpoch, snapSteps = 0, 0
-	}
-	data, status, err := rt.do(context.Background(), http.MethodGet, backend, "/v1/sessions/"+id, nil, "")
-	if err != nil || status != http.StatusOK {
-		// Fenced but not resident here (the fresher copy lives elsewhere, or
-		// died fenced). Let the caller try other targets; a locate or the
-		// next probe settles final placement.
-		return false
-	}
-	var info struct {
-		Epoch uint64 `json:"epoch"`
-		Steps uint64 `json:"steps"`
-	}
-	if json.Unmarshal(data, &info) != nil {
-		return true
-	}
-	if info.Epoch > snapEpoch || (info.Epoch == snapEpoch && info.Steps >= snapSteps) {
-		return true
-	}
-	// Strictly newer snapshot refused: only possible when the resident's
-	// fence (not its live epoch) outranks us — a fresher generation existed
-	// here before. The resident still serves; keep it.
-	return true
 }
 
 // updateBackendGauges refreshes the per-backend session-count gauges and
@@ -636,100 +550,25 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// doOnce is a single deadline-bounded backend call. It sends straight
-// through the client's Transport: http.Client.Do would add a header clone,
-// a request fork and a timer wrapper per call for redirect, cookie and
-// timeout machinery the router does not use. What of it the router does
-// use is kept here: the client's Timeout caps the deadline, and errors are
-// wrapped in *url.Error with Client.Do's text.
+// doOnce is a single deadline-bounded backend call: the shared peer call
+// plus the router's hop metrics.
 func (rt *Router) doOnce(ctx context.Context, method, backend, path string, body []byte, contentType string) ([]byte, int, http.Header, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	timeout := rt.callTimeout
-	var clientDeadline time.Time // set when the client's Timeout is the cap
-	if ct := rt.client.Timeout; ct > 0 && ct < timeout {
-		timeout = ct
-		clientDeadline = time.Now().Add(ct)
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, backend+path, rd)
+	data, status, hdr, err := rt.peer.call(ctx, method, backend, path, body, contentType)
 	if err != nil {
+		rt.mProxyErrors.Inc()
 		return nil, 0, nil, err
-	}
-	if contentType == "application/json" {
-		req.Header["Content-Type"] = contentTypeJSON
-	} else if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if u := req.URL.User; u != nil {
-		pass, _ := u.Password()
-		req.SetBasicAuth(u.Username(), pass)
-	}
-	resp, err := rt.transport.RoundTrip(req)
-	if err != nil {
-		rt.mProxyErrors.Inc()
-		err = clientTimeout(err, clientDeadline, "exceeded while awaiting headers")
-		return nil, 0, nil, &url.Error{Op: urlErrorOp(method), URL: redactedURL(req.URL), Err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		rt.mProxyErrors.Inc()
-		return nil, 0, nil, clientTimeout(err, clientDeadline, "or context cancellation while reading body")
 	}
 	// A backend that just promoted a warm-standby replica says so in a
 	// response header; counting here gives the cluster-wide promotion view
 	// without an extra round trip.
-	if resp.Header.Get(serve.HeaderPromoted) == "1" {
+	if hdr.Get(serve.HeaderPromoted) == "1" {
 		rt.mPromotions.Inc()
-		if resp.Header.Get(serve.HeaderPromotedStale) == "1" {
+		if hdr.Get(serve.HeaderPromotedStale) == "1" {
 			rt.mPromotionsStale.Inc()
 		}
 	}
 	rt.mProxied.Inc()
-	return data, resp.StatusCode, resp.Header, nil
-}
-
-// contentTypeJSON is the shared, read-only Content-Type value of forwarded
-// requests and proxied responses (net/http never writes header values).
-var contentTypeJSON = []string{"application/json"}
-
-// clientTimeout rewrites err the way http.Client reports its own Timeout
-// firing: when clientDeadline is set and has passed, the error names
-// Client.Timeout and still matches context.DeadlineExceeded.
-func clientTimeout(err error, clientDeadline time.Time, during string) error {
-	if clientDeadline.IsZero() || !time.Now().After(clientDeadline) {
-		return err
-	}
-	return &clientTimeoutError{err.Error() + " (Client.Timeout " + during + ")"}
-}
-
-// clientTimeoutError mirrors net/http's unexported timeout error.
-type clientTimeoutError struct{ msg string }
-
-func (e *clientTimeoutError) Error() string   { return e.msg }
-func (e *clientTimeoutError) Timeout() bool   { return true }
-func (e *clientTimeoutError) Temporary() bool { return true }
-func (e *clientTimeoutError) Is(err error) bool {
-	return err == context.DeadlineExceeded
-}
-
-// urlErrorOp is url.Error's Op for a method, as Client.Do spells it
-// ("Post", "Get", ...).
-func urlErrorOp(method string) string {
-	return method[:1] + strings.ToLower(method[1:])
-}
-
-// redactedURL is the URL as Client.Do puts it in errors: any password
-// replaced by "***".
-func redactedURL(u *url.URL) string {
-	if _, set := u.User.Password(); set {
-		return strings.Replace(u.String(), u.User.String()+"@", u.User.Username()+":***@", 1)
-	}
-	return u.String()
+	return data, status, hdr, nil
 }
 
 // route resolves a session id to its backend: the relocation cache wins

@@ -284,30 +284,40 @@ func SnapshotMeta(data []byte) (id string, epoch, steps uint64, err error) {
 }
 
 // RecoverFromStore replays a checkpoint store and re-imports every live
-// session it holds. Sessions that already exist (a replica promoted and
-// migrated back before recovery finished) are skipped, not errors. Returns
-// how many sessions were restored, the store's per-segment damage notes,
-// and the first import error.
-func (s *Server) RecoverFromStore(store *ckpt.Store) (restored int, damaged []string, err error) {
+// session it holds, returning how many sessions were restored and skipped,
+// the store's per-segment damage notes, and the first error. It is the one
+// replay loop; a replayed session is
+//   - skipped when it is already resident (a replica promoted and migrated
+//     back before recovery finished);
+//   - skipped and tombstoned in the store when liveElsewhere (nil = never)
+//     reports another process hosting it live: that copy kept stepping and
+//     outranks the checkpoint, and its owner checkpoints it now;
+//   - not an error when its import answers 409: a concurrent import won.
+func (s *Server) RecoverFromStore(store *ckpt.Store, liveElsewhere func(id string) bool) (restored, skipped int, damaged []string, err error) {
 	var firstErr error
 	damaged, rerr := store.Replay(func(id string, snapshot []byte) {
 		if s.sessions.get(id) != nil {
 			return
 		}
+		if liveElsewhere != nil && liveElsewhere(id) {
+			skipped++
+			if derr := store.Delete(id); derr != nil && firstErr == nil {
+				firstErr = derr
+			}
+			return
+		}
 		if _, ierr := s.ImportSession(snapshot); ierr != nil {
-			if statusOf(ierr) != 409 { // conflict: concurrent import won, fine
-				if firstErr == nil {
-					firstErr = fmt.Errorf("recover %s: %w", id, ierr)
-				}
+			if statusOf(ierr) != 409 && firstErr == nil {
+				firstErr = fmt.Errorf("recover %s: %w", id, ierr)
 			}
 			return
 		}
 		restored++
 	})
 	if rerr != nil {
-		return restored, damaged, rerr
+		return restored, skipped, damaged, rerr
 	}
-	return restored, damaged, firstErr
+	return restored, skipped, damaged, firstErr
 }
 
 // SetRecovering flips the recovery gate: while set, /readyz reports 503 so
@@ -321,6 +331,3 @@ func (s *Server) SetRecovering(v bool) { s.recovering.Store(v) }
 // provides this hook, so one of the two must be wired late; call it before
 // serving traffic (it is not synchronized against concurrent promotion).
 func (s *Server) SetPeerReplicas(fn func(id string) []PeerReplica) { s.peerReplicas = fn }
-
-// Recovering reports whether the recovery gate is set.
-func (s *Server) Recovering() bool { return s.recovering.Load() }

@@ -68,7 +68,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			if _, err := ck.Flush(); err != nil {
 				t.Fatalf("flush: %v", err)
 			}
-			restored, damaged, err := srvB.RecoverFromStore(store)
+			restored, _, damaged, err := srvB.RecoverFromStore(store, nil)
 			if err != nil || len(damaged) != 0 {
 				t.Fatalf("recover: restored=%d damaged=%v err=%v", restored, damaged, err)
 			}
@@ -206,7 +206,7 @@ func TestCompactionVsTickerFlush(t *testing.T) {
 	}
 
 	srv2, _, _ := newTestServer(t, nil)
-	restored, damaged, err := srv2.RecoverFromStore(store)
+	restored, _, damaged, err := srv2.RecoverFromStore(store, nil)
 	if err != nil || len(damaged) != 0 {
 		t.Fatalf("recover: restored=%d damaged=%v err=%v", restored, damaged, err)
 	}
@@ -368,7 +368,7 @@ func TestRecoverSkipsLiveSessions(t *testing.T) {
 	if _, err := ck.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := srv.RecoverFromStore(store)
+	restored, _, _, err := srv.RecoverFromStore(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

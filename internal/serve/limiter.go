@@ -125,14 +125,6 @@ func (l *Limiter) Release() {
 	l.mInflight.Add(-1)
 }
 
-// Shed counts requests rejected by the limiter (nil-safe, for tests).
-func (l *Limiter) Shed() float64 {
-	if l == nil {
-		return 0
-	}
-	return l.mShed.Value()
-}
-
 // retryAfterValue is the Retry-After header value sent with sheds: clients
 // should back off about one admission-queue drain, which at any sane
 // configuration is under a second — "1" is the smallest legal value.

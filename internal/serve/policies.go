@@ -36,9 +36,6 @@ func NewPolicyStore(path string, p *soc.Platform) *PolicyStore {
 	return &PolicyStore{path: path, p: p}
 }
 
-// Path returns the policy file path.
-func (ps *PolicyStore) Path() string { return ps.path }
-
 // Load (re-)reads the policy file. On any error the previously loaded
 // policy stays active — a broken file pushed to disk must never take down
 // a serving daemon.

@@ -186,13 +186,6 @@ func (s *Server) ReplicaCount() int {
 	return len(s.replicas.m)
 }
 
-// ReplicaEpoch returns the epoch of the parked replica for id (0, false
-// when none is parked).
-func (s *Server) ReplicaEpoch(id string) (uint64, bool) {
-	rep, ok := s.replicas.peek(id)
-	return rep.epoch, ok
-}
-
 // promoteForStep adopts the parked replica for id, if one exists, and
 // returns the now-live session. Called only after a registry miss on a
 // step path; GET paths must never promote (see package comment above).

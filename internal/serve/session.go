@@ -105,9 +105,6 @@ func (s *Session) Steps() uint64 {
 	return s.steps
 }
 
-// Epoch returns the session's ownership generation (fencing token).
-func (s *Session) Epoch() uint64 { return s.epoch }
-
 // setEpoch stamps the ownership generation at construction time, before
 // the session is published to the registry.
 func (s *Session) setEpoch(e uint64) {
