@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	socserved -addr :8090 -policy-file policy.json
-//	socserved -policy-file policy.json -bootstrap        # train it if missing
-//	socserved -policy-file policy.json -replay 64 -replay-steps 1000
+//	socserved -addr :8090 -policy-file policy.bin
+//	socserved -policy-file policy.bin -bootstrap        # train it if missing
+//	socserved -policy-file policy.bin -replay 64 -replay-steps 1000
+//
+// The policy file is binary (il.SaveMLPPolicy/SaveTreePolicy); a JSON
+// policy file from an older build is refused at load. Delete it and run
+// with -bootstrap to write a fresh one.
 //
 // Endpoints:
 //
@@ -97,7 +101,7 @@ func main() {
 	chaosResetP := flag.Float64("chaos-reset-p", 0, "chaos: probability of dropping the connection mid-request")
 	chaosTornP := flag.Float64("chaos-torn-p", 0, "chaos: probability of tearing a checkpoint record mid-write")
 	chaosPartition := flag.String("chaos-partition", "", "chaos: comma-separated destinations (URLs or host:port) this process cannot reach — one side of an asymmetric partition")
-	policyFile := flag.String("policy-file", "", "persisted policy file (mlp or tree); empty = governor policies only")
+	policyFile := flag.String("policy-file", "", "persisted binary policy file (mlp or tree); empty = governor policies only")
 	bootstrap := flag.Bool("bootstrap", false, "train and write a quick policy to -policy-file if it does not exist")
 	seed := flag.Int64("seed", 42, "seed for bootstrap training, model warm-start and session decorrelation")
 	maxSessions := flag.Int("max-sessions", 1024, "maximum concurrent sessions")
@@ -329,7 +333,7 @@ func main() {
 		log.Printf("replicating checkpoints to %d ring-successor standbys per session", repl.Fanout())
 	}
 	var ck *serve.Checkpointer
-	if store != nil || repl != nil {
+	if ckStore != nil || repl != nil {
 		ckOpt := serve.CheckpointerOptions{
 			Store:          ckStore,
 			Interval:       *ckptInterval,

@@ -1,131 +1,91 @@
 package il
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
-	"socrm/internal/counters"
-	"socrm/internal/mlp"
-	"socrm/internal/regtree"
+	"socrm/internal/snap"
 	"socrm/internal/soc"
 )
 
-// policyFile is the on-disk format for trained policies: exactly what the
-// offline training flow ships to the on-device governor. Version guards
-// against format drift.
-type policyFile struct {
-	Version int                     `json:"version"`
-	Kind    string                  `json:"kind"` // "mlp" or "tree"
-	Scaler  *counters.Scaler        `json:"scaler"`
-	Net     *mlp.Snapshot           `json:"net,omitempty"`
-	Forest  *regtree.ForestSnapshot `json:"forest,omitempty"`
-}
-
-const policyVersion = 1
-
-// errNilScaler rejects policies whose feature scaler is absent. A loaded
-// policy with a nil scaler would panic on its first Decide (the scaler is
-// dereferenced on every prediction), so the bad file must be refused at the
-// load/save boundary with a diagnosable error instead.
-func errNilScaler(op string) error {
-	return fmt.Errorf("il: %s: policy has no feature scaler (\"scaler\": null); "+
-		"the file is truncated or was produced by a broken writer", op)
-}
+// A policy file is what the offline training flow ships to the on-device
+// governor. It is a small binary envelope around the same payload session
+// snapshots and the experiment cache carry, so one decoder, with its shape
+// checks, reads a policy however it arrives:
+//
+//	magic   u32  "SOCP"
+//	version u16  policyVersion
+//	kind    u8   policyMLP or policyTree
+//	payload      MLPPolicy.EncodeTo or TreePolicy.EncodeTo
+//
+// The MLP payload keeps the SGD momentum; a session starts from Clone,
+// which zeroes it, so the momentum in a file never changes a decision.
+const (
+	policyMagic   uint32 = 0x50434F53 // "SOCP", little-endian
+	policyVersion uint16 = 2          // version 1 was a JSON format, no longer read
+	policyMLP     uint8  = 1
+	policyTree    uint8  = 2
+)
 
 // SaveMLPPolicy serializes a neural policy.
 func SaveMLPPolicy(w io.Writer, p *MLPPolicy) error {
 	if p.Scaler == nil {
-		return errNilScaler("saving MLP policy")
+		return fmt.Errorf("il: saving MLP policy: no feature scaler")
 	}
-	snap := p.Net.Snapshot()
-	return json.NewEncoder(w).Encode(policyFile{
-		Version: policyVersion,
-		Kind:    "mlp",
-		Scaler:  p.Scaler,
-		Net:     &snap,
-	})
-}
-
-// LoadMLPPolicy reads a neural policy and binds it to a platform.
-func LoadMLPPolicy(r io.Reader, platform *soc.Platform) (*MLPPolicy, error) {
-	var f policyFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("il: decoding policy: %w", err)
-	}
-	if f.Version != policyVersion {
-		return nil, fmt.Errorf("il: policy version %d, want %d", f.Version, policyVersion)
-	}
-	if f.Kind != "mlp" || f.Net == nil {
-		return nil, fmt.Errorf("il: not an MLP policy (kind %q)", f.Kind)
-	}
-	if f.Scaler == nil {
-		return nil, errNilScaler("loading MLP policy")
-	}
-	net, err := mlp.FromSnapshot(*f.Net)
-	if err != nil {
-		return nil, err
-	}
-	return &MLPPolicy{Net: net, Scaler: f.Scaler, P: platform}, nil
+	return savePolicy(w, policyMLP, p.EncodeTo)
 }
 
 // SaveTreePolicy serializes a regression-tree policy.
 func SaveTreePolicy(w io.Writer, p *TreePolicy) error {
 	if p.Scaler == nil {
-		return errNilScaler("saving tree policy")
+		return fmt.Errorf("il: saving tree policy: no feature scaler")
 	}
-	snap := p.Forest.Snapshot()
-	return json.NewEncoder(w).Encode(policyFile{
-		Version: policyVersion,
-		Kind:    "tree",
-		Scaler:  p.Scaler,
-		Forest:  &snap,
-	})
+	return savePolicy(w, policyTree, p.EncodeTo)
 }
 
-// LoadPolicy reads a policy file of either kind, dispatching on the "kind"
-// field, and binds it to a platform. The returned Policy is a *MLPPolicy or
-// a *TreePolicy; callers that need the concrete type (e.g. to seed an
-// online learner from the neural policy) type-assert on the result.
+func savePolicy(w io.Writer, kind uint8, payload func(*snap.Encoder)) error {
+	var e snap.Encoder
+	e.U32(policyMagic)
+	e.U16(policyVersion)
+	e.U8(kind)
+	payload(&e)
+	_, err := w.Write(e.Bytes())
+	return err
+}
+
+// LoadPolicy reads a policy file of either kind and binds it to a platform.
+// The returned Policy is a *MLPPolicy or a *TreePolicy; callers that need
+// the concrete type (e.g. to seed an online learner from the neural policy)
+// type-assert on the result.
 func LoadPolicy(r io.Reader, platform *soc.Platform) (Policy, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("il: reading policy: %w", err)
 	}
-	var head struct {
-		Kind string `json:"kind"`
+	d := snap.NewDecoder(data)
+	if m := d.U32(); m != policyMagic {
+		return nil, fmt.Errorf("il: not a binary policy file (want magic \"SOCP\", got %q); "+
+			"JSON policy files are no longer read", data[:min(len(data), 4)])
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("il: decoding policy: %w", err)
+	if v := d.U16(); v != policyVersion {
+		return nil, fmt.Errorf("il: policy file version %d, want %d", v, policyVersion)
 	}
-	switch head.Kind {
-	case "mlp":
-		return LoadMLPPolicy(bytes.NewReader(data), platform)
-	case "tree":
-		return LoadTreePolicy(bytes.NewReader(data), platform)
+	var pol Policy
+	switch kind := d.U8(); kind {
+	case policyMLP:
+		pol, err = DecodeMLPPolicy(d, platform)
+	case policyTree:
+		pol, err = DecodeTreePolicy(d, platform)
+	default:
+		if err = d.Err(); err == nil {
+			err = fmt.Errorf("unknown policy kind %d", kind)
+		}
 	}
-	return nil, fmt.Errorf("il: unknown policy kind %q", head.Kind)
-}
-
-// LoadTreePolicy reads a regression-tree policy and binds it to a platform.
-func LoadTreePolicy(r io.Reader, platform *soc.Platform) (*TreePolicy, error) {
-	var f policyFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("il: decoding policy: %w", err)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("%d trailing bytes", d.Remaining())
 	}
-	if f.Version != policyVersion {
-		return nil, fmt.Errorf("il: policy version %d, want %d", f.Version, policyVersion)
-	}
-	if f.Kind != "tree" || f.Forest == nil {
-		return nil, fmt.Errorf("il: not a tree policy (kind %q)", f.Kind)
-	}
-	if f.Scaler == nil {
-		return nil, errNilScaler("loading tree policy")
-	}
-	forest, err := regtree.ForestFromSnapshot(*f.Forest)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("il: decoding policy: %w", err)
 	}
-	return &TreePolicy{Forest: forest, Scaler: f.Scaler, P: platform}, nil
+	return pol, nil
 }

@@ -29,23 +29,27 @@ func (m *MLPPolicy) EncodeTo(e *snap.Encoder) {
 }
 
 // DecodeMLPPolicy reconstructs a policy written by MLPPolicy.EncodeTo and
-// binds it to the platform.
+// binds it to the platform. It refuses any shape the first PredictConfig
+// could not run: a network that does not map control.NumFeatures inputs to
+// soc.NumConfigFeatures outputs, or a scaler of another width.
 func DecodeMLPPolicy(d *snap.Decoder, p *soc.Platform) (*MLPPolicy, error) {
-	sc := &counters.Scaler{Mean: d.F64s(), Std: d.F64s()}
-	if len(sc.Mean) != len(sc.Std) {
-		return nil, fmt.Errorf("il: decoded scaler has %d means, %d stds", len(sc.Mean), len(sc.Std))
+	sc, err := decodeScaler(d)
+	if err != nil {
+		return nil, err
 	}
 	net, err := mlp.DecodeNetwork(d)
 	if err != nil {
 		return nil, err
 	}
+	if in, out := net.Sizes[0], net.Sizes[len(net.Sizes)-1]; in != control.NumFeatures || out != soc.NumConfigFeatures {
+		return nil, fmt.Errorf("il: decoded network maps %d inputs to %d outputs, want %d to %d",
+			in, out, control.NumFeatures, soc.NumConfigFeatures)
+	}
 	return &MLPPolicy{Net: net, Scaler: sc, P: p}, nil
 }
 
-// EncodeTo writes the tree policy (scaler + forest) bit-exactly. Unlike
-// the JSON persist path this loses nothing: the experiment memoization
-// layer uses it to cache trained policies such that a decoded policy is
-// indistinguishable from the freshly fitted one.
+// EncodeTo writes the tree policy (scaler + forest) bit-exactly, so a
+// decoded policy is indistinguishable from the freshly fitted one.
 func (t *TreePolicy) EncodeTo(e *snap.Encoder) {
 	e.F64s(t.Scaler.Mean)
 	e.F64s(t.Scaler.Std)
@@ -53,17 +57,37 @@ func (t *TreePolicy) EncodeTo(e *snap.Encoder) {
 }
 
 // DecodeTreePolicy reconstructs a policy written by TreePolicy.EncodeTo
-// and binds it to the platform.
+// and binds it to the platform. It refuses a forest without one tree per
+// config feature, a split on a feature past control.NumFeatures, or a
+// scaler of another width.
 func DecodeTreePolicy(d *snap.Decoder, p *soc.Platform) (*TreePolicy, error) {
-	sc := &counters.Scaler{Mean: d.F64s(), Std: d.F64s()}
-	if len(sc.Mean) != len(sc.Std) {
-		return nil, fmt.Errorf("il: decoded scaler has %d means, %d stds", len(sc.Mean), len(sc.Std))
+	sc, err := decodeScaler(d)
+	if err != nil {
+		return nil, err
 	}
 	forest, err := regtree.DecodeForest(d)
 	if err != nil {
 		return nil, err
 	}
+	if n, f := len(forest.Trees), forest.MaxFeature(); n != soc.NumConfigFeatures || f >= control.NumFeatures {
+		return nil, fmt.Errorf("il: decoded forest has %d trees splitting on features up to %d, want %d trees and features below %d",
+			n, f, soc.NumConfigFeatures, control.NumFeatures)
+	}
 	return &TreePolicy{Forest: forest, Scaler: sc, P: p}, nil
+}
+
+// decodeScaler reads a policy's feature scaler: empty (the identity) or one
+// mean and one std per feature.
+func decodeScaler(d *snap.Decoder) (*counters.Scaler, error) {
+	sc := &counters.Scaler{Mean: d.F64s(), Std: d.F64s()}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if n := len(sc.Mean); n != len(sc.Std) || (n != 0 && n != control.NumFeatures) {
+		return nil, fmt.Errorf("il: decoded scaler has %d means, %d stds, want 0 or %d of each",
+			n, len(sc.Std), control.NumFeatures)
+	}
+	return sc, nil
 }
 
 // EncodeTo writes the adaptive model state: the three RLS estimators plus
@@ -118,7 +142,7 @@ func encodeTrainerState(e *snap.Encoder, t Trainer) {
 	switch tr := t.(type) {
 	case *syncTrainer:
 		e.I64(int64(tr.updates))
-		e.U64(0) // a synchronous trainer never drops
+		e.U64(tr.dropped)
 		e.U32(uint32(len(tr.bufX)))
 		for i := range tr.bufX {
 			e.F64s(tr.bufX[i])
@@ -164,6 +188,7 @@ func decodeTrainerState(d *snap.Decoder, o *OnlineIL) error {
 	switch tr := o.trainer.(type) {
 	case *syncTrainer:
 		tr.updates = int(updates)
+		tr.dropped = dropped
 		for i := 0; i < n; i++ {
 			d.F64sInto(x[:])
 			d.F64sInto(y[:])

@@ -33,6 +33,10 @@ type syncTrainer struct {
 	o          *OnlineIL
 	bufX, bufY [][]float64
 	updates    int
+	// dropped is the shed count an envelope from an asynchronous trainer
+	// carried in. A synchronous trainer never drops; it passes the count on
+	// at its next export.
+	dropped uint64
 	// txX is the standardized-features scratch of the retrain, reused so a
 	// buffer fill does not re-derive its input matrix storage (rows keep
 	// their capacity across updates).

@@ -6,11 +6,10 @@ import (
 	"socrm/internal/snap"
 )
 
-// Binary tree/forest codec over the snap format, used by the experiment
-// memoization layer to persist fitted trees (explicit-NMPC surfaces, the
-// offline tree policy) bit-exactly: unlike the JSON Snapshot, every float
-// survives with its IEEE bits intact, so a decoded tree predicts exactly
-// what the fitted one did.
+// Binary tree/forest codec over the snap format, which persists fitted
+// trees (explicit-NMPC surfaces, the offline tree policy) bit-exactly:
+// every float survives with its IEEE bits intact, so a decoded tree
+// predicts exactly what the fitted one did.
 
 // maxDecodeDepth bounds recursion on decode; fitted trees are MaxDepth<=10
 // deep, so anything past this is a corrupt stream.
@@ -56,12 +55,13 @@ func decodeTree(d *snap.Decoder, depth int) (*Tree, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if leaf {
-		t.feature = -1 // Predict must never walk into a nil child
-		return t, nil
+	if leaf != (t.feature < 0) || t.feature < -1 {
+		// EncodeTo writes -1 for every leaf and a feature index for every
+		// split; anything else would not re-encode to the same bytes.
+		return nil, fmt.Errorf("regtree: node decoded with leaf %v, feature %d", leaf, t.feature)
 	}
-	if t.feature < 0 {
-		return nil, fmt.Errorf("regtree: split node decoded with feature %d", t.feature)
+	if leaf {
+		return t, nil
 	}
 	var err error
 	if t.left, err = decodeTree(d, depth+1); err != nil {
@@ -73,8 +73,10 @@ func decodeTree(d *snap.Decoder, depth int) (*Tree, error) {
 	return t, nil
 }
 
-// maxForestTrees bounds a decoded forest size against corrupt prefixes.
-const maxForestTrees = 4096
+// minTreeBytes is the encoded size of a one-leaf tree. A decoded forest's
+// tree count is bounded by the bytes left to hold its trees, so a corrupt
+// prefix cannot allocate more than the input could fill.
+const minTreeBytes = 1 + 4*8
 
 // EncodeTo writes the forest, length-prefixed.
 func (f *Forest) EncodeTo(e *snap.Encoder) {
@@ -90,7 +92,7 @@ func DecodeForest(d *snap.Decoder) (*Forest, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > maxForestTrees {
+	if n < 0 || n > d.Remaining()/minTreeBytes {
 		return nil, fmt.Errorf("regtree: decoded forest has %d trees", n)
 	}
 	f := &Forest{Trees: make([]*Tree, n)}
@@ -102,4 +104,21 @@ func DecodeForest(d *snap.Decoder) (*Forest, error) {
 		f.Trees[i] = t
 	}
 	return f, nil
+}
+
+// MaxFeature returns the largest feature index any split in the forest
+// tests, or -1 when every tree is a single leaf.
+func (f *Forest) MaxFeature() int {
+	m := -1
+	for _, t := range f.Trees {
+		m = max(m, t.maxFeature())
+	}
+	return m
+}
+
+func (t *Tree) maxFeature() int {
+	if t.feature < 0 {
+		return -1
+	}
+	return max(t.feature, t.left.maxFeature(), t.right.maxFeature())
 }

@@ -260,27 +260,8 @@ func (c *Checkpointer) Flush() (int, error) {
 // index a checkpoint or resolve an import conflict without rebuilding the
 // decider.
 func SnapshotMeta(data []byte) (id string, epoch, steps uint64, err error) {
-	d := snap.NewDecoder(data)
-	if m := d.U32(); m != snapshotMagic {
-		if derr := d.Err(); derr != nil {
-			return "", 0, 0, derr
-		}
-		return "", 0, 0, fmt.Errorf("not a session snapshot (magic %#x)", m)
-	}
-	if v := d.U16(); v != SnapshotVersion {
-		return "", 0, 0, fmt.Errorf("snapshot version %d unsupported (this server speaks %d)", v, SnapshotVersion)
-	}
-	id = d.String()
-	_ = d.String() // policy
-	epoch = d.U64()
-	steps = d.U64()
-	if err := d.Err(); err != nil {
-		return "", 0, 0, err
-	}
-	if id == "" {
-		return "", 0, 0, fmt.Errorf("snapshot carries no session id")
-	}
-	return id, epoch, steps, nil
+	h, err := decodeEnvelopeHeader(snap.NewDecoder(data))
+	return h.id, h.epoch, h.steps, err
 }
 
 // RecoverFromStore replays a checkpoint store and re-imports every live

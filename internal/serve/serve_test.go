@@ -67,7 +67,7 @@ func writeAtomic(t *testing.T, path string, data []byte) {
 func newTestServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Server, string) {
 	t.Helper()
 	polBytes, _, models := fixtures(t)
-	path := filepath.Join(t.TempDir(), "policy.json")
+	path := filepath.Join(t.TempDir(), "policy.bin")
 	writeAtomic(t, path, polBytes)
 	p := soc.NewXU3()
 	store := NewPolicyStore(path, p)
@@ -397,6 +397,25 @@ func TestPolicyStoreSurvivesBadFile(t *testing.T) {
 	if err := call(hc, http.MethodPost, ts.URL+"/v1/sessions",
 		CreateRequest{Policy: PolicyOfflineIL}, &created); err != nil {
 		t.Fatalf("sessions must keep working after a failed reload: %v", err)
+	}
+}
+
+// TestReloadRefusesJSONPolicy: a policy file in the retired JSON format is
+// refused with an error naming the binary format, and the store keeps
+// serving the generation it had.
+func TestReloadRefusesJSONPolicy(t *testing.T) {
+	srv, _, path := newTestServer(t, nil)
+	gen := srv.store.Generation()
+	writeAtomic(t, path, []byte(`{"version":1,"kind":"mlp","scaler":{"Mean":[],"Std":[]},"net":{"sizes":[13,4]}}`))
+	err := srv.Reload()
+	if err == nil || !strings.Contains(err.Error(), "binary policy file") {
+		t.Fatalf("reload of a JSON policy: err = %v, want a binary-format rejection", err)
+	}
+	if got := srv.store.Generation(); got != gen {
+		t.Fatalf("generation %d after a refused reload, want %d", got, gen)
+	}
+	if _, err := srv.CreateSession(CreateRequest{Policy: PolicyOfflineIL}); err != nil {
+		t.Fatalf("sessions must keep working after a refused reload: %v", err)
 	}
 }
 

@@ -110,6 +110,35 @@ func (s *Server) encodeSessionLocked(sess *Session, e *snap.Encoder) error {
 	return nil
 }
 
+// envelopeHeader is the front of a session envelope: enough to fence and
+// order a copy of the session without decoding its decider.
+type envelopeHeader struct {
+	id, policy   string
+	epoch, steps uint64
+}
+
+// decodeEnvelopeHeader reads magic, version, id, policy, epoch and steps —
+// the part of an envelope SnapshotMeta and ImportSession both check.
+func decodeEnvelopeHeader(d *snap.Decoder) (envelopeHeader, error) {
+	if m := d.U32(); m != snapshotMagic {
+		if err := d.Err(); err != nil {
+			return envelopeHeader{}, err
+		}
+		return envelopeHeader{}, fmt.Errorf("not a session snapshot (magic %#x)", m)
+	}
+	if v := d.U16(); v != SnapshotVersion {
+		return envelopeHeader{}, fmt.Errorf("snapshot version %d unsupported (this server speaks %d)", v, SnapshotVersion)
+	}
+	h := envelopeHeader{id: d.String(), policy: d.String(), epoch: d.U64(), steps: d.U64()}
+	if err := d.Err(); err != nil {
+		return envelopeHeader{}, err
+	}
+	if h.id == "" {
+		return envelopeHeader{}, fmt.Errorf("snapshot carries no session id")
+	}
+	return h, nil
+}
+
 // decodeDecider rebuilds the per-kind decider payload on import.
 func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider, *il.AsyncTrainer, error) {
 	switch policy {
@@ -313,28 +342,16 @@ func trainerUpdates(sess *Session) int {
 // (removed) so the fresh import takes over.
 func (s *Server) ImportSession(data []byte) (CreateResponse, error) {
 	d := snap.NewDecoder(data)
-	if m := d.U32(); m != snapshotMagic {
-		if err := d.Err(); err != nil {
-			return CreateResponse{}, apiErrorf(http.StatusBadRequest, "%v", err)
-		}
-		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "not a session snapshot (magic %#x)", m)
+	h, err := decodeEnvelopeHeader(d)
+	if err != nil {
+		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "%v", err)
 	}
-	if v := d.U16(); v != SnapshotVersion {
-		return CreateResponse{}, apiErrorf(http.StatusBadRequest,
-			"snapshot version %d unsupported (this server speaks %d)", v, SnapshotVersion)
-	}
-	id := d.String()
-	policy := d.String()
-	epoch := d.U64()
-	steps := d.U64()
+	id, policy, epoch := h.id, h.policy, h.epoch
 	energyJ := d.F64()
 	lastCfg := decodeConfig(d)
 	havePrev := d.Bool()
 	if err := d.Err(); err != nil {
 		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "%v", err)
-	}
-	if id == "" {
-		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "snapshot carries no session id")
 	}
 	liveEpoch := epoch + 1
 	if f, fenced := s.fenceFor(id); fenced && liveEpoch <= f {
@@ -344,7 +361,7 @@ func (s *Server) ImportSession(data []byte) (CreateResponse, error) {
 	}
 	sess := &Session{ID: id, Policy: policy}
 	sess.setEpoch(liveEpoch)
-	sess.steps = steps
+	sess.steps = h.steps
 	sess.energyJ = energyJ
 	sess.lastCfg = lastCfg
 	sess.havePrev = havePrev

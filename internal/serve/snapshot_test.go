@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"socrm/internal/il"
+	"socrm/internal/oracle"
+	"socrm/internal/regtree"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -96,7 +101,7 @@ func TestMigratedSessionBitIdentical(t *testing.T) {
 // withEpoch returns a copy of a session snapshot with its envelope epoch
 // field rewritten in place — the comparison tool for "byte-identical modulo
 // the ownership generation".
-func withEpoch(t *testing.T, data []byte, epoch uint64) []byte {
+func withEpoch(t testing.TB, data []byte, epoch uint64) []byte {
 	t.Helper()
 	out := append([]byte(nil), data...)
 	off := 6 // magic (u32) + version (u16)
@@ -461,4 +466,70 @@ func TestCreateWithExplicitID(t *testing.T) {
 	if _, err := srv.CreateSession(CreateRequest{Policy: "ondemand"}); err != nil {
 		t.Fatalf("server-assigned id after explicit ids: %v", err)
 	}
+}
+
+// fuzzTreeStore is a policy store holding a tree policy, so offline-tree
+// envelopes import too; every other decider carries its own state.
+func fuzzTreeStore(t testing.TB) *PolicyStore {
+	p := soc.NewXU3()
+	apps := workload.MiBench(1)[:2]
+	for i := range apps {
+		apps[i].Snippets = apps[i].Snippets[:8]
+	}
+	pol, err := il.TrainTreePolicy(p, il.BuildDataset(p, oracle.New(p, oracle.Energy), apps), regtree.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := il.SaveTreePolicy(&buf, pol); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tree.bin")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := NewPolicyStore(path, p)
+	if err := store.Load(); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// FuzzImportSession: no envelope panics import or the first step after
+// it; SnapshotMeta accepts every envelope import accepts and reads the same
+// header; and an accepted envelope re-exports byte for byte, but for the
+// epoch, which the import advanced by one.
+func FuzzImportSession(f *testing.F) {
+	p := soc.NewXU3()
+	store := fuzzTreeStore(f)
+	cfg := p.Clamp(soc.Config{LittleFreqIdx: 6, BigFreqIdx: 9, NLittle: 4, NBig: 2})
+	sn := workload.MiBench(8)[0].Snippets[0]
+	res := p.Execute(sn, cfg)
+	tel := StepTelemetry{Counters: res.Counters, Config: cfg, Threads: sn.Threads, TimeS: res.Time, EnergyJ: res.Energy}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A fresh server per input: fences left by an earlier import would
+		// turn every later mutation of the same envelope into a 409.
+		srv := New(Options{Platform: p, Store: store})
+		defer srv.Close()
+		id, epoch, steps, metaErr := SnapshotMeta(data)
+		created, err := srv.ImportSession(data)
+		if err != nil {
+			return
+		}
+		if metaErr != nil || id != created.ID {
+			t.Fatalf("import accepted session %q; SnapshotMeta read %q, %v", created.ID, id, metaErr)
+		}
+		out, err := srv.ExportSession(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, outEpoch, outSteps, err := SnapshotMeta(out)
+		if err != nil || outEpoch != epoch+1 || outSteps != steps {
+			t.Fatalf("re-export header: epoch %d steps %d (%v), want %d and %d", outEpoch, outSteps, err, epoch+1, steps)
+		}
+		if !bytes.Equal(withEpoch(t, out, epoch), data) {
+			t.Fatalf("re-export differs beyond the epoch: %d bytes from %d", len(out), len(data))
+		}
+		_, _, _ = srv.Step(id, &tel)
+	})
 }
