@@ -57,7 +57,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -74,7 +73,6 @@ func main() {
 	mode := flag.String("mode", "standalone", "process role: standalone | backend | router")
 	peers := flag.String("peers", "", "comma-separated peer base URLs (router: the backends; backend: drain targets)")
 	selfURL := flag.String("self", "", "this backend's advertised base URL, excluded from its own drain targets")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring; must match across the cluster (0 = default)")
 	probeEvery := flag.Duration("probe-interval", 500*time.Millisecond, "router: backend readiness probe interval")
 	callTimeout := flag.Duration("call-timeout", 0, "deadline for one proxied/drain/replica HTTP call (0 = 5s)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "deadline for one readiness probe (0 = 2s)")
@@ -88,8 +86,6 @@ func main() {
 	replicate := flag.Bool("replicate", true, "backend mode: push checkpoint records to each session's ring-successor standbys")
 	replicaQueue := flag.Int("replica-queue", 0, "per-peer replica queue in records; a full queue drops oldest (0 = 256)")
 	replicaK := flag.Int("replica-k", 0, "backend: ring-successor standbys per session; survives K-1 standby failures (0 = 2)")
-	weightsFlag := flag.String("weights", "", "router: per-backend capacity weights as url=w pairs, comma-separated (missing = 1)")
-	loadBound := flag.Float64("load-bound", 0, "router: bounded-load factor c — a backend takes new sessions only within c x its weighted fair share (<=1 = pure consistent hashing)")
 	routerInstance := flag.String("router-instance", "", "router: instance tag baked into assigned session ids; must differ across an active-active router tier")
 	maxInflight := flag.Int("max-inflight", 0, "admission bound on concurrent step/batch requests; beyond it -max-queue more wait briefly, the rest shed with 429 (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for an admission slot once -max-inflight is saturated (0 = immediate shed)")
@@ -116,7 +112,6 @@ func main() {
 	replayBatch := flag.Int("replay-batch", 1, "telemetry records per replay step request")
 	replayPolicy := flag.String("replay-policy", "offline-il", "session policy replay clients request")
 	replayDirect := flag.Bool("replay-direct", false, "replay through the in-process fast path instead of HTTP (measures the serving layer, not JSON)")
-	replayTargets := flag.String("replay-targets", "", "comma-separated backend URLs sampled during replay for per-backend session distribution (point -replay at a router to measure its spread)")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -168,13 +163,8 @@ func main() {
 		if len(peerList) == 0 {
 			fail("-mode router needs -peers")
 		}
-		weights, err := parseWeights(*weightsFlag)
-		if err != nil {
-			fail("%v", err)
-		}
 		runRouter(cluster.RouterOptions{
 			Backends:      peerList,
-			VNodes:        *vnodes,
 			ProbeInterval: *probeEvery,
 			CallTimeout:   *callTimeout,
 			ProbeTimeout:  *probeTimeout,
@@ -182,8 +172,6 @@ func main() {
 			RetryBackoff:  *retryBackoff,
 			FailAfter:     *failAfter,
 			Instance:      *routerInstance,
-			Weights:       weights,
-			LoadBound:     *loadBound,
 			MaxInflight:   *maxInflight,
 			MaxQueue:      *maxQueue,
 			QueueWait:     *queueWait,
@@ -275,7 +263,6 @@ func main() {
 			Server:      srv,
 			Self:        *selfURL,
 			Peers:       peerList,
-			VNodes:      *vnodes,
 			CallTimeout: *callTimeout,
 			Client:      outbound,
 		}
@@ -317,7 +304,6 @@ func main() {
 		repl = cluster.NewReplicator(cluster.ReplicatorOptions{
 			Self:        *selfURL,
 			Peers:       peerList,
-			VNodes:      *vnodes,
 			Fanout:      *replicaK,
 			QueueSize:   *replicaQueue,
 			CallTimeout: *callTimeout,
@@ -425,7 +411,6 @@ func main() {
 			Batch:   *replayBatch,
 			Policy:  *replayPolicy,
 			Seed:    *seed,
-			Targets: splitURLs(*replayTargets),
 		}
 		if *replayDirect {
 			ropt.Server = srv
@@ -441,12 +426,6 @@ func main() {
 			stats.Clients, stats.Steps/stats.Clients, stats.EnergyJ, stats.TimeS)
 		fmt.Printf("decide latency: p50 %.3gs p90 %.3gs p99 %.3gs (n=%d)\n",
 			h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Count())
-		for _, t := range stats.PerTarget {
-			fmt.Printf("target %s: peak %d sessions\n", t.URL, t.PeakSessions)
-		}
-		if len(stats.PerTarget) > 1 {
-			fmt.Printf("distribution skew: %.3f\n", stats.Skew())
-		}
 		// Replay left no requests in flight, so close hard: a graceful
 		// drain only waits out idle keep-alive connections.
 		httpSrv.Close()
@@ -555,32 +534,6 @@ func splitHosts(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseWeights parses "-weights url=w,url=w" into a capacity map keyed by
-// the same normalized URLs the ring is built from.
-func parseWeights(s string) (map[string]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	out := make(map[string]float64)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		url, val, ok := strings.Cut(part, "=")
-		url = strings.TrimRight(strings.TrimSpace(url), "/")
-		if !ok || url == "" {
-			return nil, fmt.Errorf("-weights entry %q is not url=weight", part)
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("-weights entry %q needs a positive weight", part)
-		}
-		out[url] = w
-	}
-	return out, nil
 }
 
 // dialableAddr rewrites a wildcard listen address (":8090" binds the

@@ -20,8 +20,6 @@ type Drainer struct {
 	// Peers are the other backends' base URLs (the same list every cluster
 	// member and the router were started with).
 	Peers []string
-	// VNodes must match the router's ring construction (<=0 = DefaultVNodes).
-	VNodes int
 	// Client performs the handoff HTTP calls through the cluster's shared
 	// peer call (nil = 10s-timeout client); peer readiness is probed with
 	// the client itself.
@@ -75,7 +73,7 @@ func (d *Drainer) Drain() (DrainReport, error) {
 		rep.Remaining = d.Server.SessionCount()
 		return rep, fmt.Errorf("drain: no ready peers; %d sessions stay resident", rep.Remaining)
 	}
-	ring := NewRing(targets, d.VNodes)
+	ring := NewRing(targets)
 	limit := d.RefusalLimit
 	if limit <= 0 {
 		limit = defaultRefusalLimit

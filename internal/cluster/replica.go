@@ -35,8 +35,6 @@ type ReplicatorOptions struct {
 	// quorum-standby default; clamped to the peer count). One record on K
 	// peers survives K-1 simultaneous standby failures.
 	Fanout int
-	// VNodes must match the router's ring construction (<=0 = DefaultVNodes).
-	VNodes int
 	// QueueSize bounds each per-peer queue in records (0 = 256).
 	QueueSize int
 	// Client performs the pushes and replica fetches through the cluster's
@@ -99,7 +97,7 @@ func NewReplicator(opt ReplicatorOptions) *Replicator {
 	}
 	r := &Replicator{
 		opt:    opt,
-		ring:   NewRing(peers, opt.VNodes),
+		ring:   NewRing(peers),
 		peer:   newPeer(opt.Client, opt.CallTimeout),
 		queues: make(map[string]chan repItem, len(peers)),
 		stop:   make(chan struct{}),

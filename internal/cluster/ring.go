@@ -8,15 +8,15 @@
 package cluster
 
 import (
-	"math"
 	"sort"
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per backend. At 64 points per
-// node the largest-to-smallest arc ratio stays within a few tens of
-// percent, good enough that a two-backend cluster splits sessions roughly
-// evenly without weighting machinery.
+// DefaultVNodes is the virtual-node count per backend. It is a constant
+// because router, drainer and replicator build their rings independently
+// and must place every key identically. At 64 points per node the
+// largest-to-smallest arc ratio stays within a few tens of percent, good
+// enough that a two-backend cluster splits sessions roughly evenly.
 const DefaultVNodes = 64
 
 // hash64 is FNV-1a 64 with an avalanche finalizer, allocation-free. Every
@@ -48,18 +48,11 @@ func hash64(s string) uint64 {
 
 // Ring is an immutable consistent-hash ring over backend names (URLs).
 // Build a new ring on membership change and swap it atomically; lookups are
-// a binary search with no locks.
-//
-// Capacity weights do not move ring points: the point layout is a function
-// of the member set alone, so every participant — weighted or not — agrees
-// on Owner and Successors. Weights only scale the per-node load bound that
-// BoundedOwner enforces, which is a placement-time concern local to
-// whichever router consults it.
+// a binary search with no locks. The point layout is a function of the
+// member set alone, so every participant agrees on Owner and Successors.
 type Ring struct {
-	points  []ringPoint
-	nodes   []string
-	weights []float64 // parallel to nodes; 1.0 when unspecified
-	totalW  float64
+	points []ringPoint
+	nodes  []string
 }
 
 type ringPoint struct {
@@ -67,38 +60,17 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds a ring with vnodes virtual points per node (<=0 selects
-// DefaultVNodes). Node order does not matter; the ring is deterministic in
-// the node set. Every node gets capacity weight 1.
-func NewRing(nodes []string, vnodes int) *Ring {
-	return NewWeightedRing(nodes, nil, vnodes)
-}
-
-// NewWeightedRing builds a ring whose nodes carry capacity weights — a node
-// with weight 2 may hold twice the bounded-load share of a weight-1 node.
-// Missing or non-positive weights default to 1. The point layout (and thus
-// Owner/Successors) is identical to NewRing on the same node set.
-func NewWeightedRing(nodes []string, weights map[string]float64, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring with DefaultVNodes virtual points per node. Node
+// order does not matter; the ring is deterministic in the node set.
+func NewRing(nodes []string) *Ring {
 	sorted := append([]string(nil), nodes...)
 	sort.Strings(sorted)
 	r := &Ring{
-		nodes:   sorted,
-		weights: make([]float64, len(sorted)),
-		points:  make([]ringPoint, 0, len(sorted)*vnodes),
+		nodes:  sorted,
+		points: make([]ringPoint, 0, len(sorted)*DefaultVNodes),
 	}
-	for i, n := range sorted {
-		w := 1.0
-		if weights != nil {
-			if ww, ok := weights[n]; ok && ww > 0 {
-				w = ww
-			}
-		}
-		r.weights[i] = w
-		r.totalW += w
-		for v := 0; v < vnodes; v++ {
+	for _, n := range sorted {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{h: hash64(n + "#" + strconv.Itoa(v)), node: n})
 		}
 	}
@@ -154,68 +126,6 @@ func (r *Ring) Successors(key string, k int) []string {
 		}
 	}
 	return out
-}
-
-// Weight returns the capacity weight of node (0 for non-members).
-func (r *Ring) Weight(node string) float64 {
-	i := sort.SearchStrings(r.nodes, node)
-	if i < len(r.nodes) && r.nodes[i] == node {
-		return r.weights[i]
-	}
-	return 0
-}
-
-// bound returns the bounded-load cap for node: c · (total+1) · w/W, rounded
-// up. The +1 counts the key being placed, so a near-empty cluster never
-// rejects its first keys; the ceiling guarantees every node can hold at
-// least one key whenever c ≥ 1.
-func (r *Ring) bound(i int, c float64, total int) int {
-	share := c * float64(total+1) * r.weights[i] / r.totalW
-	return int(math.Ceil(share))
-}
-
-// BoundedOwner places key with bounded load (the "consistent hashing with
-// bounded loads" construction): walk the successor order and take the first
-// node whose current load, plus this key, stays within c times its weighted
-// fair share of the total. load reports a node's current key count; total
-// is the cluster-wide key count. c <= 1 or an empty ring degrades to plain
-// Owner. A full walk with no admissible node (every node saturated —
-// possible only transiently, since the bounds sum to ≥ c·total ≥ total)
-// also falls back to Owner rather than failing placement.
-//
-// Only placement consults this; lookups still probe the plain successor
-// order, which contains every BoundedOwner result by construction.
-func (r *Ring) BoundedOwner(key string, c float64, load func(node string) int, total int) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	if c <= 1 || load == nil {
-		return r.Owner(key)
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	seen := 0
-	var visited []string
-	for scanned := 0; scanned < len(r.points) && seen < len(r.nodes); scanned++ {
-		node := r.points[(start+scanned)%len(r.points)].node
-		dup := false
-		for _, have := range visited {
-			if have == node {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		visited = append(visited, node)
-		seen++
-		i := sort.SearchStrings(r.nodes, node)
-		if load(node)+1 <= r.bound(i, c, total) {
-			return node
-		}
-	}
-	return r.Owner(key)
 }
 
 // Nodes returns the ring's member set, sorted.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -28,17 +29,6 @@ type RouterOptions struct {
 	// two routers assigning ids concurrently can never collide. Empty keeps
 	// the single-router id format ("r-<n>").
 	Instance string
-	// VNodes per backend on the hash ring (<=0 = DefaultVNodes).
-	VNodes int
-	// Weights are per-backend capacity weights for bounded-load placement
-	// (missing/non-positive = 1). They never move ring points — every router
-	// still agrees on ownership — they only scale each backend's admissible
-	// share of sessions when LoadBound is set.
-	Weights map[string]float64
-	// LoadBound is the bounded-load factor c: a backend accepts new
-	// placements only while its session count stays within c times its
-	// weighted fair share. <=1 disables (pure consistent hashing).
-	LoadBound float64
 	// MaxInflight bounds concurrently admitted step/batch requests at the
 	// router tier (0 = unlimited). Excess sheds with 429 + Retry-After —
 	// the router degrades before its backends drown.
@@ -99,10 +89,7 @@ type RouterOptions struct {
 // of trusting it.
 type Router struct {
 	backends     []string
-	instance     string
-	vnodes       int
-	weights      map[string]float64
-	loadBound    float64
+	idPrefix     string // "r<instance>-": the prefix of the ids this router assigns
 	interval     time.Duration
 	peer         peer
 	probeTimeout time.Duration
@@ -120,12 +107,6 @@ type Router struct {
 	// failCount tracks consecutive silent probe failures per backend
 	// (guarded by mu); reaching failAfter marks the backend failed.
 	failCount map[string]int
-
-	// loads tracks per-backend resident session counts (guarded by loadMu):
-	// refreshed from /admin/sessions on every probe, bumped optimistically
-	// on create so a burst between probes still spreads under the bound.
-	loadMu sync.Mutex
-	loads  map[string]int
 
 	// relocations overrides ring ownership per session id while placement
 	// and ring disagree (mid-drain, mid-rebalance, off-owner create).
@@ -165,9 +146,6 @@ type Router struct {
 // NewRouter builds a router over the configured backends. Call Probe once
 // (or Start) before serving so the ring reflects reality.
 func NewRouter(opt RouterOptions) *Router {
-	if opt.VNodes <= 0 {
-		opt.VNodes = DefaultVNodes
-	}
 	if opt.ProbeInterval <= 0 {
 		opt.ProbeInterval = 500 * time.Millisecond
 	}
@@ -188,10 +166,7 @@ func NewRouter(opt RouterOptions) *Router {
 	reg := metrics.NewRegistry()
 	rt := &Router{
 		backends:     append([]string(nil), opt.Backends...),
-		instance:     opt.Instance,
-		vnodes:       opt.VNodes,
-		weights:      opt.Weights,
-		loadBound:    opt.LoadBound,
+		idPrefix:     "r" + opt.Instance + "-",
 		interval:     opt.ProbeInterval,
 		peer:         newPeer(opt.Client, opt.CallTimeout),
 		probeTimeout: opt.ProbeTimeout,
@@ -200,7 +175,6 @@ func NewRouter(opt RouterOptions) *Router {
 		failAfter:    opt.FailAfter,
 		ready:        map[string]bool{},
 		failCount:    map[string]int{},
-		loads:        map[string]int{},
 		stop:         make(chan struct{}),
 		reg:          reg,
 		mReady: reg.Gauge("socrouted_backends_ready",
@@ -238,7 +212,7 @@ func NewRouter(opt RouterOptions) *Router {
 			Name:      "socrouted_step",
 		})
 	}
-	rt.ring.Store(NewWeightedRing(nil, opt.Weights, opt.VNodes))
+	rt.ring.Store(NewRing(nil))
 	return rt
 }
 
@@ -318,7 +292,7 @@ func (rt *Router) Probe() bool {
 			nodes = append(nodes, b)
 		}
 	}
-	ring := NewWeightedRing(nodes, rt.weights, rt.vnodes)
+	ring := NewRing(nodes)
 	rt.ring.Store(ring)
 	// Relocation pins pointing at a removed backend would misroute until
 	// their next miss; purge them so the ring (and its failover owner)
@@ -352,34 +326,6 @@ func (rt *Router) sessionsOf(backend string) ([]string, error) {
 	return list.Sessions, nil
 }
 
-// loadOf returns the tracked resident session count for a backend.
-func (rt *Router) loadOf(backend string) int {
-	rt.loadMu.Lock()
-	defer rt.loadMu.Unlock()
-	return rt.loads[backend]
-}
-
-// totalLoad sums tracked resident sessions across ready backends.
-func (rt *Router) totalLoad() int {
-	rt.loadMu.Lock()
-	defer rt.loadMu.Unlock()
-	total := 0
-	for _, n := range rt.loads {
-		total += n
-	}
-	return total
-}
-
-// place picks the backend for a new or rehomed session id: the ring owner,
-// or — under a configured load bound — the first successor whose weighted
-// load stays within bound.
-func (rt *Router) place(ring *Ring, id string) string {
-	if rt.loadBound <= 1 {
-		return ring.Owner(id)
-	}
-	return ring.BoundedOwner(id, rt.loadBound, rt.loadOf, rt.totalLoad())
-}
-
 // rebalanceLocked moves every session that the new ring assigns elsewhere.
 // After a backend removal consistent hashing only relocates the removed
 // node's arcs, so survivors mostly hold their sessions and the loop is
@@ -400,17 +346,7 @@ func (rt *Router) rebalanceLocked(ring *Ring) {
 				rt.relocations.Delete(id)
 				continue
 			}
-			target := owner
-			if rt.loadBound > 1 {
-				target = rt.place(ring, id)
-				if target == b {
-					// The bound keeps the session where it is; pin it so the
-					// proxy path routes here without a locate round.
-					rt.relocations.Store(id, b)
-					continue
-				}
-			}
-			rt.migrate(id, b, target, ring, refusals)
+			rt.migrate(id, b, owner, ring, refusals)
 		}
 	}
 	rt.mRebalance.Observe(time.Since(start).Seconds())
@@ -448,22 +384,39 @@ func (rt *Router) migrate(id, from, to string, ring *Ring, refusals map[string]i
 	rt.mFailedHandoffs.Inc()
 }
 
-// updateBackendGauges refreshes the per-backend session-count gauges and
-// the load map that bounded placement consults.
+// updateBackendGauges refreshes the per-backend session-count gauges — the
+// router's one report of how the ring spread the sessions — and moves the
+// id counter past every id this router instance assigned before a restart.
 func (rt *Router) updateBackendGauges() {
 	for _, b := range rt.backends {
 		if !rt.ready[b] {
 			rt.backendGauge(b).Set(0)
-			rt.loadMu.Lock()
-			delete(rt.loads, b)
-			rt.loadMu.Unlock()
 			continue
 		}
 		if ids, err := rt.sessionsOf(b); err == nil {
 			rt.backendGauge(b).Set(float64(len(ids)))
-			rt.loadMu.Lock()
-			rt.loads[b] = len(ids)
-			rt.loadMu.Unlock()
+			rt.skipAssignedIDs(ids)
+		}
+	}
+}
+
+// skipAssignedIDs raises nextID to the highest "r<instance>-<n>" among ids,
+// so a restarted router never assigns an id a backend already holds.
+func (rt *Router) skipAssignedIDs(ids []string) {
+	for _, id := range ids {
+		rest, ok := strings.CutPrefix(id, rt.idPrefix)
+		if !ok {
+			continue
+		}
+		n, err := strconv.ParseInt(rest, 10, 64)
+		if err != nil {
+			continue
+		}
+		for {
+			cur := rt.nextID.Load()
+			if n <= cur || rt.nextID.CompareAndSwap(cur, n) {
+				break
+			}
 		}
 	}
 }
@@ -748,9 +701,8 @@ func (rt *Router) writeProxied(w http.ResponseWriter, status int, body []byte) {
 }
 
 // handleCreate assigns the session id (so placement follows the ring),
-// forwards the create to the placed backend — the ring owner, or under a
-// load bound the first successor with headroom — and falls back across
-// ready backends if it refuses.
+// forwards the create to the ring owner, and falls back across ready
+// backends if it refuses.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req serve.CreateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxRouterBody)).Decode(&req); err != nil {
@@ -758,10 +710,10 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" {
-		req.ID = "r" + rt.instance + "-" + strconv.FormatInt(rt.nextID.Add(1), 10)
+		req.ID = rt.idPrefix + strconv.FormatInt(rt.nextID.Add(1), 10)
 	}
 	ring := rt.ring.Load()
-	owner := rt.place(ring, req.ID)
+	owner := ring.Owner(req.ID)
 	if owner == "" {
 		http.Error(w, `{"error":"no ready backends"}`, http.StatusServiceUnavailable)
 		return
@@ -781,12 +733,9 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if status == http.StatusCreated {
-			if b != ring.Owner(req.ID) {
+			if b != owner {
 				rt.relocations.Store(req.ID, b)
 			}
-			rt.loadMu.Lock()
-			rt.loads[b]++
-			rt.loadMu.Unlock()
 			rt.writeProxied(w, status, data)
 			return
 		}
@@ -953,22 +902,21 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // backendState is one backend's view in GET /admin/backends.
 type backendState struct {
-	URL      string  `json:"url"`
-	Ready    bool    `json:"ready"`
-	Sessions int     `json:"sessions"`
-	Weight   float64 `json:"weight"`
+	URL      string `json:"url"`
+	Ready    bool   `json:"ready"`
+	Sessions int    `json:"sessions"`
 }
 
+// handleBackends reports each backend's readiness and its resident-session
+// gauge as of the last probe.
 func (rt *Router) handleBackends(w http.ResponseWriter, _ *http.Request) {
-	ring := rt.ring.Load()
 	rt.mu.Lock()
 	states := make([]backendState, 0, len(rt.backends))
 	for _, b := range rt.backends {
 		states = append(states, backendState{
 			URL:      b,
 			Ready:    rt.ready[b],
-			Sessions: rt.loadOf(b),
-			Weight:   ring.Weight(b),
+			Sessions: int(rt.backendGauge(b).Value()),
 		})
 	}
 	rt.mu.Unlock()

@@ -449,3 +449,101 @@ func TestRouterReadyz(t *testing.T) {
 		t.Fatalf("readyz with live backend = %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestRouterRestartSkipsAssignedIDs: a fresh router over backends that
+// already hold r-1..r-3 must answer its first create with r-4, not a 409 per
+// id it assigned before the restart. Another instance's ids ("r2-9") belong
+// to that router and do not move this one's counter.
+func TestRouterRestartSkipsAssignedIDs(t *testing.T) {
+	backends, _, front := newCluster(t, 2)
+	for i := 1; i <= 3; i++ {
+		var created serve.CreateResponse
+		if code := postJSON(t, front.URL+"/v1/sessions",
+			serve.CreateRequest{Policy: "interactive"}, &created); code != http.StatusCreated {
+			t.Fatalf("create %d = %d", i, code)
+		}
+	}
+	if code := postJSON(t, front.URL+"/v1/sessions",
+		serve.CreateRequest{Policy: "interactive", ID: "r2-9"}, nil); code != http.StatusCreated {
+		t.Fatalf("create r2-9 = %d", code)
+	}
+
+	urls := make([]string, len(backends))
+	for i, b := range backends {
+		urls[i] = b.ts.URL
+	}
+	restarted := NewRouter(RouterOptions{Backends: urls})
+	restarted.Probe()
+	front2 := httptest.NewServer(restarted.Handler())
+	defer front2.Close()
+	var created serve.CreateResponse
+	if code := postJSON(t, front2.URL+"/v1/sessions",
+		serve.CreateRequest{Policy: "interactive"}, &created); code != http.StatusCreated {
+		t.Fatalf("first create through the restarted router = %d, want 201", code)
+	}
+	if created.ID != "r-4" {
+		t.Fatalf("first id from the restarted router = %q, want r-4", created.ID)
+	}
+}
+
+// TestAdminBackends: GET /admin/backends reports each backend's readiness
+// and the same per-backend session count as the router's
+// socrouted_backend_sessions gauge; a drained backend reads not-ready with
+// 0 sessions and the survivor holds them all.
+func TestAdminBackends(t *testing.T) {
+	backends, rt, front := newCluster(t, 2)
+	const n = 8
+	for i := 0; i < n; i++ {
+		if code := postJSON(t, front.URL+"/v1/sessions",
+			serve.CreateRequest{Policy: "interactive"}, nil); code != http.StatusCreated {
+			t.Fatalf("create %d = %d", i, code)
+		}
+	}
+	get := func() map[string]backendState {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/admin/backends")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Backends []backendState `json:"backends"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]backendState{}
+		for _, s := range out.Backends {
+			m[s.URL] = s
+		}
+		if len(m) != len(backends) {
+			t.Fatalf("/admin/backends lists %d backends, want %d", len(m), len(backends))
+		}
+		return m
+	}
+
+	rt.Probe()
+	states := get()
+	for _, b := range backends {
+		s := states[b.ts.URL]
+		gauge := int(rt.backendGauge(b.ts.URL).Value())
+		if !s.Ready || s.Sessions != gauge || s.Sessions != b.srv.SessionCount() {
+			t.Fatalf("%s: %+v, gauge %d, resident %d", b.ts.URL, s, gauge, b.srv.SessionCount())
+		}
+	}
+
+	victim, survivor := backends[0], backends[1]
+	resp, err := http.Post(victim.ts.URL+"/admin/drain", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	rt.Probe()
+	states = get()
+	if s := states[victim.ts.URL]; s.Ready || s.Sessions != 0 {
+		t.Fatalf("drained backend reads %+v, want not ready with 0 sessions", s)
+	}
+	if s := states[survivor.ts.URL]; !s.Ready || s.Sessions != n {
+		t.Fatalf("survivor reads %+v, want ready with %d sessions", s, n)
+	}
+}

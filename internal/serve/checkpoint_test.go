@@ -379,3 +379,36 @@ func TestRecoverSkipsLiveSessions(t *testing.T) {
 		t.Fatalf("live session clobbered: steps = %d", info.Steps)
 	}
 }
+
+// TestCreateAfterRecoverySkipsResidentIDs: a restarted process numbers
+// auto-named sessions from scratch, so the recovered s-1 and s-2 must be
+// skipped — the first create without an id succeeds as s-3, not 409.
+func TestCreateAfterRecoverySkipsResidentIDs(t *testing.T) {
+	srvA, _, _ := newTestServer(t, nil)
+	store := newCkptStore(t)
+	for _, want := range []string{"s-1", "s-2"} {
+		created, err := srvA.CreateSession(CreateRequest{Policy: "ondemand"})
+		if err != nil || created.ID != want {
+			t.Fatalf("create = %q (err %v), want %q", created.ID, err, want)
+		}
+	}
+	ck := NewCheckpointer(srvA, CheckpointerOptions{Store: store, Interval: time.Hour})
+	if _, err := ck.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, _, _ := newTestServer(t, nil)
+	if restored, _, _, err := srvB.RecoverFromStore(store, nil); err != nil || restored != 2 {
+		t.Fatalf("recover: restored=%d err=%v, want 2", restored, err)
+	}
+	created, err := srvB.CreateSession(CreateRequest{Policy: "ondemand"})
+	if err != nil {
+		t.Fatalf("first create after recovery: %v", err)
+	}
+	if created.ID != "s-3" {
+		t.Fatalf("first create after recovery = %q, want s-3", created.ID)
+	}
+	if n := srvB.SessionCount(); n != 3 {
+		t.Fatalf("server holds %d sessions, want 3", n)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"socrm/internal/experiments"
 	"socrm/internal/soc"
@@ -88,9 +87,6 @@ func (t DirectTransport) Close(id string) error {
 // ReplayOptions configure the built-in load generator: N synthetic clients,
 // each simulating one device with its own workload trace.
 type ReplayOptions struct {
-	// Transport overrides how clients reach the daemon. When nil, Server
-	// selects the in-process direct path and BaseURL the HTTP path.
-	Transport Transport
 	// Server enables direct in-process replay against this server.
 	Server *Server
 	// BaseURL enables HTTP replay, e.g. http://127.0.0.1:8090.
@@ -102,26 +98,9 @@ type ReplayOptions struct {
 	Batch  int
 	Policy string // session policy, default offline-il
 	Seed   int64  // base workload seed; client i uses Seed+i
-	// Workers bounds the driving pool; 0 runs every client on its own
-	// worker so Clients sessions are genuinely concurrent.
-	Workers int
 	// HTTPClient overrides the HTTP transport (tests inject the httptest
 	// client).
 	HTTPClient *http.Client
-	// Targets enables multi-target observation: while BaseURL points the
-	// load at one URL (typically a cluster router), each listed backend URL
-	// is sampled during the run via GET /admin/sessions and the peak
-	// resident-session count per backend is reported in
-	// ReplayStats.PerTarget — how the router actually spread the fleet.
-	Targets []string
-}
-
-// TargetLoad is one observed backend's share of a multi-target replay.
-type TargetLoad struct {
-	URL string
-	// PeakSessions is the largest resident-session count sampled on the
-	// backend during the run.
-	PeakSessions int
 }
 
 // ClientStats is one synthetic client's outcome.
@@ -137,41 +116,10 @@ type ReplayStats struct {
 	Steps   int
 	EnergyJ float64
 	TimeS   float64
-	// PerTarget is the observed session distribution across the sampled
-	// backends (only with ReplayOptions.Targets).
-	PerTarget []TargetLoad
-}
-
-// Skew summarizes the distribution imbalance across the sampled backends:
-// (max - min) / mean of the peak session counts. 0 means a perfectly even
-// split; 2 backends at 60/40 report 0.4. Returns 0 with fewer than two
-// targets or no observed sessions.
-func (s ReplayStats) Skew() float64 {
-	if len(s.PerTarget) < 2 {
-		return 0
-	}
-	minN, maxN, sum := s.PerTarget[0].PeakSessions, s.PerTarget[0].PeakSessions, 0
-	for _, t := range s.PerTarget {
-		if t.PeakSessions < minN {
-			minN = t.PeakSessions
-		}
-		if t.PeakSessions > maxN {
-			maxN = t.PeakSessions
-		}
-		sum += t.PeakSessions
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.PerTarget))
-	return float64(maxN-minN) / mean
 }
 
 // transport resolves the configured Transport.
 func (opt *ReplayOptions) transport() (Transport, error) {
-	if opt.Transport != nil {
-		return opt.Transport, nil
-	}
 	if opt.Server != nil {
 		return DirectTransport{Server: opt.Server}, nil
 	}
@@ -182,12 +130,13 @@ func (opt *ReplayOptions) transport() (Transport, error) {
 		}
 		return HTTPTransport{BaseURL: opt.BaseURL, Client: hc}, nil
 	}
-	return nil, fmt.Errorf("serve: replay needs a Transport, Server or BaseURL")
+	return nil, fmt.Errorf("serve: replay needs a Server or BaseURL")
 }
 
-// Replay drives the daemon with opt.Clients concurrent sessions on the
-// experiment engine's worker pool and returns aggregate accounting. Any
-// client error aborts with the lowest-indexed failure, deterministically.
+// Replay drives the daemon with opt.Clients concurrent sessions, one worker
+// each, on the experiment engine's worker pool and returns aggregate
+// accounting. Any client error aborts with the lowest-indexed failure,
+// deterministically.
 // The decisions — and therefore the aggregate stats — are identical for
 // the HTTP and direct transports given the same seed.
 func Replay(opt ReplayOptions) (ReplayStats, error) {
@@ -204,108 +153,25 @@ func Replay(opt ReplayOptions) (ReplayStats, error) {
 	if err != nil {
 		return ReplayStats{}, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = opt.Clients
-	}
 	// One shared read-only platform: Execute never mutates it.
 	p := soc.NewXU3()
 	idx := make([]int, opt.Clients)
 	for i := range idx {
 		idx[i] = i
 	}
-	var sampler *targetSampler
-	if len(opt.Targets) > 0 {
-		sampler = startTargetSampler(opt.Targets, opt.HTTPClient)
-	}
-	per, err := experiments.RunJobs(workers, idx, func(j experiments.Job[int]) (ClientStats, error) {
+	per, err := experiments.RunJobs(opt.Clients, idx, func(j experiments.Job[int]) (ClientStats, error) {
 		return replayClient(tr, p, opt, j.Input)
 	})
-	var perTarget []TargetLoad
-	if sampler != nil {
-		perTarget = sampler.stop()
-	}
 	if err != nil {
 		return ReplayStats{}, err
 	}
-	agg := ReplayStats{Clients: opt.Clients, PerTarget: perTarget}
+	agg := ReplayStats{Clients: opt.Clients}
 	for _, c := range per {
 		agg.Steps += c.Steps
 		agg.EnergyJ += c.EnergyJ
 		agg.TimeS += c.TimeS
 	}
 	return agg, nil
-}
-
-// targetSampler polls each observed backend's /admin/sessions while a
-// replay runs, keeping the peak resident-session count per backend. The
-// peak (rather than the final count) is what matters: replay clients close
-// their sessions on the way out, so the end state is always empty.
-type targetSampler struct {
-	targets []string
-	client  *http.Client
-	peaks   []int
-	stopCh  chan struct{}
-	done    chan struct{}
-}
-
-func startTargetSampler(targets []string, hc *http.Client) *targetSampler {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	s := &targetSampler{
-		targets: targets,
-		client:  hc,
-		peaks:   make([]int, len(targets)),
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go s.run()
-	return s
-}
-
-func (s *targetSampler) run() {
-	defer close(s.done)
-	t := time.NewTicker(20 * time.Millisecond)
-	defer t.Stop()
-	for {
-		s.sampleAll()
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-		}
-	}
-}
-
-func (s *targetSampler) sampleAll() {
-	for i, u := range s.targets {
-		resp, err := s.client.Get(u + "/admin/sessions")
-		if err != nil {
-			continue
-		}
-		var list struct {
-			Sessions []string `json:"sessions"`
-		}
-		decodeErr := json.NewDecoder(io.LimitReader(resp.Body, maxStepBody)).Decode(&list)
-		resp.Body.Close()
-		if decodeErr != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		if n := len(list.Sessions); n > s.peaks[i] {
-			s.peaks[i] = n
-		}
-	}
-}
-
-func (s *targetSampler) stop() []TargetLoad {
-	close(s.stopCh)
-	<-s.done
-	loads := make([]TargetLoad, len(s.targets))
-	for i, u := range s.targets {
-		loads[i] = TargetLoad{URL: u, PeakSessions: s.peaks[i]}
-	}
-	return loads
 }
 
 // replayClient runs one synthetic device: create a session, close the loop

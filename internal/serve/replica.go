@@ -157,8 +157,14 @@ func (rs *replicaStore) ids() []string {
 	return out
 }
 
+// replicaStaleAfter is how old a parked replica may be before its promotion
+// counts as stale in metrics. Promotion proceeds either way — a stale
+// learner beats a cold-started one — the counter exists so operators can
+// see when the checkpoint interval is too coarse for their failure rate.
+const replicaStaleAfter = 5 * time.Second
+
 // PeerReplica is one peer's parked replica of a session, as returned by the
-// Options.PeerReplicas hook during quorum promotion.
+// SetPeerReplicas hook during quorum promotion.
 type PeerReplica struct {
 	Data  []byte
 	Epoch uint64
@@ -192,7 +198,7 @@ func (s *Server) ReplicaCount() int {
 // Returns promoted=false when there was nothing to promote or the import
 // lost a race (sess may still be non-nil in the race case).
 //
-// With a PeerReplicas hook configured, promotion is quorum-style: the
+// With a SetPeerReplicas hook installed, promotion is quorum-style: the
 // reachable peers are asked for their replica of the session and the
 // freshest epoch wins (steps break ties). A local standby that loses to a
 // peer — its queue dropped records the other successor kept — is counted
@@ -220,7 +226,7 @@ func (s *Server) promoteForStep(id string) (sess *Session, promoted, stale bool)
 			s.replicas.mStaleStandby.Inc()
 		}
 	}
-	stale = s.replicaStaleAfter > 0 && time.Since(rep.at) > s.replicaStaleAfter
+	stale = time.Since(rep.at) > replicaStaleAfter
 	if _, err := s.ImportSession(rep.data); err != nil {
 		if statusOf(err) == http.StatusConflict {
 			// Lost a race with a concurrent import/promotion; the session is

@@ -56,18 +56,6 @@ type Options struct {
 	// per-session semantics of synchronous mode). Only meaningful with
 	// TrainWorkers > 0.
 	CrossBatch int
-	// ReplicaStaleAfter bounds how old a parked replica may be before its
-	// promotion counts as stale in metrics (0 = default 5s, negative =
-	// never stale). Promotion proceeds either way — a stale learner beats
-	// a cold-started one — the counter exists so operators can see when
-	// the checkpoint interval is too coarse for their failure rate.
-	ReplicaStaleAfter time.Duration
-	// PeerReplicas, when set, lets a promotion consult reachable peers for
-	// their parked replica of the session and promote the freshest epoch
-	// rather than blindly trusting the local standby (quorum promotion —
-	// cluster.Replicator provides an implementation). nil promotes local
-	// replicas only.
-	PeerReplicas func(id string) []PeerReplica
 	// StepInflight bounds concurrently admitted step/batch HTTP requests
 	// (0 = unlimited). Beyond it, up to StepQueue requests wait briefly;
 	// everything else is shed with 429 + Retry-After instead of queueing
@@ -104,11 +92,11 @@ type Server struct {
 
 	// replicas parks warm-standby snapshots pushed by peers; a step for a
 	// parked id promotes it to a live session (replica.go).
-	replicas          *replicaStore
-	replicaStaleAfter time.Duration
+	replicas *replicaStore
 
-	// peerReplicas, when set, is consulted on promotion so the freshest
-	// replica among reachable peers wins, not just the local one.
+	// peerReplicas, when set (SetPeerReplicas), is consulted on promotion so
+	// the freshest replica among reachable peers wins, not just the local
+	// one.
 	peerReplicas func(id string) []PeerReplica
 
 	// fences maps session id -> highest epoch known for it here; imports
@@ -149,22 +137,17 @@ func New(opt Options) *Server {
 	if opt.MaxSessions <= 0 {
 		opt.MaxSessions = 1024
 	}
-	if opt.ReplicaStaleAfter == 0 {
-		opt.ReplicaStaleAfter = 5 * time.Second
-	}
 	reg := metrics.NewRegistry()
 	srv := &Server{
-		p:                 opt.Platform,
-		store:             opt.Store,
-		models:            opt.Models,
-		maxSessions:       opt.MaxSessions,
-		seedBase:          opt.SeedBase,
-		sessions:          newRegistry(opt.Shards, opt.MaxSessions),
-		reg:               reg,
-		replicas:          newReplicaStore(reg),
-		replicaStaleAfter: opt.ReplicaStaleAfter,
-		peerReplicas:      opt.PeerReplicas,
-		fences:            make(map[string]uint64),
+		p:           opt.Platform,
+		store:       opt.Store,
+		models:      opt.Models,
+		maxSessions: opt.MaxSessions,
+		seedBase:    opt.SeedBase,
+		sessions:    newRegistry(opt.Shards, opt.MaxSessions),
+		reg:         reg,
+		replicas:    newReplicaStore(reg),
+		fences:      make(map[string]uint64),
 		mSessionsActive: reg.Gauge("socserved_sessions_active",
 			"Governor sessions currently open."),
 		mSessionsTotal: reg.Counter("socserved_sessions_created_total",
@@ -358,16 +341,22 @@ func (s *Server) CreateSession(req CreateRequest) (CreateResponse, error) {
 			"session limit %d reached", s.maxSessions)
 	}
 	id := s.nextID.Add(1)
-	seed := s.seedBase + id
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
 	name := req.ID
 	if name == "" {
+		// Skip ids a recovered or imported session already holds: nextID
+		// restarts at 0 in every process, the sessions it named do not.
 		name = "s-" + strconv.FormatInt(id, 10)
+		for s.sessions.get(name) != nil {
+			id = s.nextID.Add(1)
+			name = "s-" + strconv.FormatInt(id, 10)
+		}
 	} else if len(name) > maxSessionID {
 		return CreateResponse{}, apiErrorf(http.StatusBadRequest,
 			"session id exceeds %d bytes", maxSessionID)
+	}
+	seed := s.seedBase + id
+	if req.Seed != nil {
+		seed = *req.Seed
 	}
 	dec, trainer, err := s.newDecider(req.Policy, seed)
 	if err != nil {
