@@ -444,7 +444,7 @@ func main() {
 		srv.BeginDrain()
 		if drainer != nil {
 			if rep, err := drainer.Drain(); err != nil {
-				log.Printf("drain: %v", err)
+				log.Print(err) // Drain's errors already start with "drain: "
 			} else {
 				log.Printf("drained %d sessions to %d peers (%d failed, %d remaining)",
 					rep.Drained, len(rep.Targets), rep.Failed, rep.Remaining)

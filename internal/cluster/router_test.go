@@ -342,6 +342,10 @@ func TestDrainWithNoPeersKeepsSessions(t *testing.T) {
 	if err == nil {
 		t.Fatal("drain with no peers succeeded; want refusal")
 	}
+	// socserved logs this error as is, so it carries the one "drain: " prefix.
+	if want := "drain: no ready peers; 1 sessions stay resident"; err.Error() != want {
+		t.Fatalf("drain error %q, want %q", err, want)
+	}
 	if rep.Remaining != 1 || srv.SessionCount() != 1 {
 		t.Fatalf("drain dropped sessions: remaining=%d resident=%d", rep.Remaining, srv.SessionCount())
 	}

@@ -68,13 +68,93 @@ func (e *Evaluator) Predict(c soc.Config) Prediction {
 	c = m.P.Clamp(c)
 	fl := m.P.LittleOPPs[c.LittleFreqIdx].FreqMHz / 1000
 	fb := m.P.BigOPPs[c.BigFreqIdx].FreqMHz / 1000
-	idx := c.BigFreqIdx*len(m.P.LittleOPPs) + c.LittleFreqIdx
-	var cpiB, cpiL float64
-	if e.stamp[idx] == e.epoch {
-		cpiB, cpiL = e.cpiB[idx], e.cpiL[idx]
-	} else {
-		cpiB, cpiL = m.predictCPI(e.r, fl, fb)
-		e.stamp[idx], e.cpiB[idx], e.cpiL[idx] = e.epoch, cpiB, cpiL
-	}
+	cpiB, cpiL := e.cpi(c, fl, fb)
 	return m.predictionFrom(e.r, c, fl, fb, cpiB, cpiL)
+}
+
+// cpi returns the memoized CPI predictions for c's frequency pair, whose
+// frequencies in GHz are fl and fb.
+func (e *Evaluator) cpi(c soc.Config, fl, fb float64) (cpiB, cpiL float64) {
+	idx := c.BigFreqIdx*len(e.m.P.LittleOPPs) + c.LittleFreqIdx
+	if e.stamp[idx] == e.epoch {
+		return e.cpiB[idx], e.cpiL[idx]
+	}
+	cpiB, cpiL = e.m.predictCPI(e.r, fl, fb)
+	e.stamp[idx], e.cpiB[idx], e.cpiL[idx] = e.epoch, cpiB, cpiL
+	return cpiB, cpiL
+}
+
+// Best returns the candidate of soc.Platform.AppendNeighborhood(cur,
+// radius) with the lowest predicted energy, and that energy. It visits the
+// candidates in the same lf→bf→nl→nb order and replaces the best only on a
+// strictly lower energy, so it picks the candidate a Predict over the
+// materialized list would pick, and every energy is the one Predict
+// returns for it: the same operations in the same order. What the sweep
+// saves is repetition: the workload terms are derived once per call, the
+// frequencies, CPI pair, stall fractions and V²f products once per
+// frequency pair rather than once per core-count candidate, and no
+// candidate is clamped (each is in range by construction) or built into a
+// power feature vector. radius must not be negative.
+func (e *Evaluator) Best(cur soc.Config, radius int) (best soc.Config, bestE float64) {
+	if radius < 0 {
+		panic("il: negative neighbourhood radius")
+	}
+	m, p, r := e.m, e.m.P, e.r
+	w := (*[powerDim]float64)(m.Power.W)
+	stallNum := r.missPerInstr * p.MemLatencyNS
+	bytes := r.missPerInstr * r.instr * p.CacheLineB
+	span := func(v, lo, hi int) (int, int) {
+		return min(max(v-radius, lo), hi), min(max(v+radius, lo), hi)
+	}
+	loLF, hiLF := span(cur.LittleFreqIdx, 0, len(p.LittleOPPs)-1)
+	loBF, hiBF := span(cur.BigFreqIdx, 0, len(p.BigOPPs)-1)
+	loNL, hiNL := span(cur.NLittle, soc.MinNLittle, soc.MaxNLittle)
+	loNB, hiNB := span(cur.NBig, soc.MinNBig, soc.MaxNBig)
+	found := false
+	for lf := loLF; lf <= hiLF; lf++ {
+		lo := p.LittleOPPs[lf]
+		fl := lo.FreqMHz / 1000
+		vl2 := lo.Volt * lo.Volt
+		vl2fl := vl2 * fl
+		for bf := loBF; bf <= hiBF; bf++ {
+			bo := p.BigOPPs[bf]
+			fb := bo.FreqMHz / 1000
+			vb2 := bo.Volt * bo.Volt
+			vb2fb := vb2 * fb
+			c := soc.Config{LittleFreqIdx: lf, BigFreqIdx: bf}
+			cpiB, cpiL := e.cpi(c, fl, fb)
+			stallB := stallNum * fb / cpiB
+			stallL := stallNum * fl / cpiL
+			for c.NLittle = loNL; c.NLittle <= hiNL; c.NLittle++ {
+				for c.NBig = loNB; c.NBig <= hiNB; c.NBig++ {
+					// predictionFrom and powerFeaturesInto, term by term.
+					ub, ul := soc.Placement(r.threads, c)
+					energy := 1e18
+					if ips := float64(ub)*fb*1e9/cpiB + float64(ul)*fl*1e9/cpiL; !(ips <= 0) {
+						t := r.instr / ips
+						big, little := vb2fb*float64(ub), vl2fl*float64(ul)
+						pw := 0.0
+						pw += w[0] * big
+						pw += w[1] * (big * stallB)
+						pw += w[2] * (vb2fb * float64(c.NBig-ub))
+						pw += w[3] * little
+						pw += w[4] * (little * stallL)
+						pw += w[5] * (vl2fl * float64(c.NLittle-ul))
+						pw += w[6] * (vb2 * float64(c.NBig))
+						pw += w[7] * (vl2 * float64(c.NLittle))
+						pw += w[8] * 1
+						pw += w[9] * (bytes / t / 1e9)
+						if pw < minPower {
+							pw = minPower
+						}
+						energy = pw * t
+					}
+					if energy < bestE || !found {
+						best, bestE, found = c, energy, true
+					}
+				}
+			}
+		}
+	}
+	return best, bestE
 }

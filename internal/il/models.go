@@ -48,6 +48,9 @@ const (
 	powerDim = 10
 )
 
+// minPower floors a power prediction: a live chip never draws less.
+const minPower = 0.05
+
 // NewOnlineModels returns untrained models; call WarmStart to reproduce the
 // paper's design-time bootstrapping.
 func NewOnlineModels(p *soc.Platform) *OnlineModels {
@@ -188,7 +191,6 @@ func (m *OnlineModels) predictionFrom(r rates, c soc.Config, fl, fb, cpiB, cpiL 
 	extBW := r.missPerInstr * r.instr * m.P.CacheLineB / t / 1e9
 	var buf [powerDim]float64
 	p := m.Power.Predict(m.powerFeaturesInto(buf[:], r, c, cpiB, cpiL, extBW))
-	const minPower = 0.05 // a live chip never draws less than this
 	if p < minPower {
 		p = minPower
 	}

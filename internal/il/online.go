@@ -51,14 +51,13 @@ type OnlineIL struct {
 	decisions int
 
 	// Decision-path scratch, reused across calls so a steady-state Decide
-	// allocates nothing: the state feature vector, the aggregation label,
-	// the candidate list, and the per-decision model evaluator. Decide was
+	// allocates nothing: the state feature vector, the aggregation label
+	// and the per-decision model evaluator. Decide was
 	// never safe to call from two goroutines; this keeps that contract
 	// load-bearing (async mode only moves training off the decide
 	// goroutine, not decisions themselves).
 	featBuf []float64
 	labBuf  []float64
-	cands   []soc.Config
 	ev      *Evaluator
 }
 
@@ -116,9 +115,9 @@ func (o *OnlineIL) PolicyConfig(st control.State) soc.Config {
 
 // Decide implements control.Decider: model-guided candidate selection plus
 // DAgger-style data aggregation. Steady-state decisions are allocation-free:
-// candidates, feature vectors and model scratch are all reused buffers, and
-// the evaluator memoizes the per-frequency-pair CPI predictions across the
-// candidate sweep. Training happens through the Trainer — inline for the
+// the evaluator sweeps the candidate neighborhood in place (Evaluator.Best)
+// without materializing it, feature vectors and model scratch are reused
+// buffers, and the CPI predictions are memoized per frequency pair. Training happens through the Trainer — inline for the
 // synchronous default, on a background worker in async mode — so this path
 // itself never grows a latency tail beyond the candidate sweep.
 func (o *OnlineIL) Decide(st control.State) soc.Config {
@@ -129,23 +128,14 @@ func (o *OnlineIL) Decide(st control.State) soc.Config {
 	// plus the policy's own suggestion so the learner can be followed once
 	// it is right. When the suggestion already lies inside the
 	// neighborhood it is a duplicate and is not evaluated a second time.
-	o.cands = o.P.AppendNeighborhood(o.cands[:0], st.Config, o.Radius)
-	cands := o.cands
-
 	if o.ev == nil {
 		o.ev = o.Models.NewEvaluator()
 	}
 	o.ev.Begin(st)
-	best := cands[0]
-	bestE := o.ev.Predict(best).Energy
-	for _, c := range cands[1:] {
-		if e := o.ev.Predict(c).Energy; e < bestE {
-			best, bestE = c, e
-		}
-	}
+	best, bestE := o.ev.Best(st.Config, o.Radius)
 	if !o.P.InNeighborhood(st.Config, polCfg, o.Radius) {
 		if e := o.ev.Predict(polCfg).Energy; e < bestE {
-			best, bestE = polCfg, e
+			best = polCfg
 		}
 	}
 

@@ -138,13 +138,6 @@ func (n *Network) ensureScratch() {
 	n.predOut = make([]float64, n.Sizes[L-1])
 }
 
-// row returns row j of the row-major matrix w whose rows have len(like)
-// columns, resliced so the compiler can drop bounds checks in loops that
-// range over like.
-func row(w []float64, j int, like []float64) []float64 {
-	return w[j*len(like) : (j+1)*len(like)][:len(like)]
-}
-
 // forward runs the network and returns the per-layer activations (needed
 // for backprop). The returned slices are the network's scratch buffers;
 // acts[0] aliases x until the next pass.
@@ -152,7 +145,9 @@ func row(w []float64, j int, like []float64) []float64 {
 // Unit j's pre-activation is B[j] + W[j,0]*x[0] + W[j,1]*x[1] + ..., added
 // in input order. Four rows share each pass over the inputs, but each row
 // keeps its own sequential sum, so every unit's result is bit-identical
-// to a row-at-a-time loop.
+// to a row-at-a-time loop. The loops walk W, B and the outputs by
+// advancing slices; each row is cut to exactly len(prev) so the inner
+// loops carry no bounds checks.
 func (n *Network) forward(x []float64) [][]float64 {
 	if len(x) != n.Sizes[0] {
 		panic(fmt.Sprintf("mlp: input dim %d, want %d", len(x), n.Sizes[0]))
@@ -161,30 +156,29 @@ func (n *Network) forward(x []float64) [][]float64 {
 	acts := n.acts
 	acts[0] = x
 	for l, W := range n.W {
-		prev, a := acts[l], acts[l+1]
-		B := n.B[l][:len(a)]
-		j := 0
-		for ; j+4 <= len(a); j += 4 {
-			w0, w1, w2, w3 := row(W, j, prev), row(W, j+1, prev), row(W, j+2, prev), row(W, j+3, prev)
-			s0, s1, s2, s3 := B[j], B[j+1], B[j+2], B[j+3]
+		prev, a, B := acts[l], acts[l+1], n.B[l]
+		in := len(prev)
+		for ; len(a) >= 4; a, B, W = a[4:], B[4:], W[4*in:] {
+			w0, w1, w2, w3 := W[:in], W[in:][:in], W[2*in:][:in], W[3*in:][:in]
+			s0, s1, s2, s3 := B[0], B[1], B[2], B[3]
 			for i, p := range prev {
 				s0 += w0[i] * p
 				s1 += w1[i] * p
 				s2 += w2[i] * p
 				s3 += w3[i] * p
 			}
-			a[j], a[j+1], a[j+2], a[j+3] = s0, s1, s2, s3
+			a[0], a[1], a[2], a[3] = s0, s1, s2, s3
 		}
-		for ; j < len(a); j++ {
-			w0 := row(W, j, prev)
-			s := B[j]
+		for ; len(a) > 0; a, B, W = a[1:], B[1:], W[in:] {
+			w0 := W[:in]
+			s := B[0]
 			for i, p := range prev {
 				s += w0[i] * p
 			}
-			a[j] = s
+			a[0] = s
 		}
 		if l < len(n.W)-1 {
-			n.activate(a)
+			n.activate(acts[l+1])
 		}
 	}
 	return acts
@@ -250,12 +244,12 @@ func (n *Network) TrainStep(x, target []float64, lr, momentum float64) float64 {
 // nextDelta and its own update, and nextDelta[i] still adds row j's term
 // before row j+1's.
 func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64) {
-	nextDelta = nextDelta[:len(prev)]
-	j := 0
-	for ; j+2 <= len(delta); j += 2 {
-		d0, d1 := delta[j], delta[j+1]
-		w0, w1 := row(W, j, prev), row(W, j+1, prev)
-		m0, m1 := row(M, j, prev), row(M, j+1, prev)
+	in := len(prev)
+	nextDelta = nextDelta[:in]
+	for ; len(delta) >= 2; delta, W, M = delta[2:], W[2*in:], M[2*in:] {
+		d0, d1 := delta[0], delta[1]
+		w0, w1 := W[:in], W[in:][:in]
+		m0, m1 := M[:in], M[in:][:in]
 		for i, p := range prev {
 			a, b := w0[i], w1[i]
 			nextDelta[i] = nextDelta[i] + a*d0 + b*d1
@@ -265,9 +259,9 @@ func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64)
 			w0[i], w1[i] = a+ma, b+mb
 		}
 	}
-	if j < len(delta) {
-		d0 := delta[j]
-		w0, m0 := row(W, j, prev), row(M, j, prev)
+	if len(delta) > 0 {
+		d0 := delta[0]
+		w0, m0 := W[:in], M[:in]
 		for i, p := range prev {
 			a := w0[i]
 			nextDelta[i] += a * d0
@@ -278,31 +272,65 @@ func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64)
 	}
 }
 
-// updateInputLayer applies the input layer's weight update, skipping the
-// updates that provably leave w and m unchanged (see stuckUlps): where the
-// input is 0 and d and lr are finite, lr*(d*p) is ±0, so
-// m = momentum*m - lr*(d*p) = m whenever |m| is 1..k ulps; and |m| <=
-// 2^20 ulps = 2^-1054 is under half an ulp of any |w| >= 2^-1000, so
-// w + m = w. Served policies hit this on every retrain: an input column
-// the scaler maps to exactly 0 leaves its momentum at a subnormal fixed
-// point, and each subnormal multiply costs a microcode assist.
+// updateInputLayer applies the input layer's weight update
+// m = momentum*m - lr*(d*p); w = w + m, skipping the updates that provably
+// leave w and m unchanged. Where the input p is ±0 and d and lr are finite,
+// lr*(d*p) is ±0, so:
+//   - m = m whenever |m| is 1..k ulps (see stuckUlps), and |m| <= 2^20
+//     ulps = 2^-1054 is under half an ulp of any |w| >= 2^-1000, so
+//     w + m = w;
+//   - m = +0 stays +0 (k > 0 implies 0.5 < momentum < 1.5, so
+//     momentum*m = +0, and +0 - ±0 = +0), and w + +0 = w for any w that
+//     is neither -0 nor NaN, which |w| >= 2^-1000 also rules out.
+//
+// Served policies hit both on every retrain: an input column the scaler
+// maps to exactly 0 keeps its momentum at +0 or at a subnormal fixed
+// point, and each subnormal multiply costs a microcode assist. When
+// nothing can be skipped (k = 0, or some d is ±Inf or NaN, for which d*0
+// is NaN) every weight takes the plain update.
+//
+// The skip test sits inside its own if on p == 0: folded into one
+// condition, the compiler kept the combined bool on the stack and reloaded
+// it for every element.
 func updateInputLayer(x, delta, W, M []float64, lr, momentum float64, k uint64) {
 	const signBit = 1 << 63
-	for j, d := range delta {
-		w, m := row(W, j, x), row(M, j, x)
-		rowK := k
-		if !(math.Abs(d) <= math.MaxFloat64) {
-			rowK = 0 // d is ±Inf or NaN: d*0 is NaN, nothing is a no-op
+	in := len(x)
+	if k == 0 || !finite(delta) {
+		for _, d := range delta {
+			w, m := W[:in], M[:in]
+			W, M = W[in:], M[in:]
+			for i, p := range x {
+				mi := momentum*m[i] - lr*(d*p)
+				m[i] = mi
+				w[i] += mi
+			}
 		}
+		return
+	}
+	for _, d := range delta {
+		w, m := W[:in], M[:in]
+		W, M = W[in:], M[in:]
 		for i, p := range x {
-			if p == 0 && math.Float64bits(m[i])&^signBit-1 < rowK && math.Abs(w[i]) >= 0x1p-1000 {
-				continue
+			if p == 0 {
+				if b := math.Float64bits(m[i]); (b == 0 || b&^signBit-1 < k) && math.Abs(w[i]) >= 0x1p-1000 {
+					continue
+				}
 			}
 			mi := momentum*m[i] - lr*(d*p)
 			m[i] = mi
 			w[i] += mi
 		}
 	}
+}
+
+// finite reports whether every element of v is finite.
+func finite(v []float64) bool {
+	for _, d := range v {
+		if !(math.Abs(d) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // stuckUlps returns the largest k <= 2^20 such that momentum*m == m for

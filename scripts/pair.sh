@@ -1,30 +1,39 @@
 #!/usr/bin/env bash
-# pair.sh — paired same-host comparison of two revisions on the repository
-# benchmark (perfbench), with the verdict rule written in.
+# pair.sh — paired same-host comparison of two revisions, on the repository
+# benchmark (perfbench) or on root Go benchmarks, with the verdict rule
+# written in.
 #
 # Usage:
 #   scripts/pair.sh [-n ROUNDS] [-w WORKLOAD] [-s SECONDS] [-seed FIRST] [-trace 0|1] BASE HEAD
+#   scripts/pair.sh [-n ROUNDS] [-benchtime T] -bench REGEX BASE HEAD
 #   scripts/pair.sh -n 10 -w fleet-routed -s 40 -seed 101 8b5091a HEAD
+#   scripts/pair.sh -n 10 -benchtime 200x -bench '^BenchmarkMLPRetrainServing$' 8b5091a HEAD
 #
 # Both revisions are extracted with `git archive` into a fresh temp
-# directory (mktemp, so under TMPDIR) and their perfbench binaries are built
-# once each. Round i then runs both binaries on seed FIRST+i, base
-# first in even rounds and head first in odd ones, so slow drift of the host
-# lands on both sides equally (Mytkowicz et al., ASPLOS 2009; Kalibera &
-# Jones, ISMM 2013). Every run's output stays in the temp directory's runs/.
+# directory (mktemp, so under TMPDIR) and built once each: the perfbench
+# binary, or with -bench the root package's test binary (`go test -c`).
+# Round i then runs both binaries, base first in even rounds and head first
+# in odd ones, so slow drift of the host lands on both sides equally
+# (Mytkowicz et al., ASPLOS 2009; Kalibera & Jones, ISMM 2013). A perfbench
+# round runs on seed FIRST+i; a -bench round runs the matching benchmarks
+# once each (-benchmem, -benchtime T, default 1s; a fixed count such as
+# 200x gives both sides the same work when a benchmark's cost depends on
+# how far it has run). Every run's output stays in the temp directory's
+# runs/.
 #
 # Per metric it prints both medians, both interquartile ranges and the
-# rounds head won, in the direction BENCHMARK.json gives. Verdict rule: a
-# change counts as better (or worse) only if it wins (or loses) at least 9
-# in 10 rounds and the gap between the medians is wider than the base's
-# IQR; anything else reads "same". Metrics whose median moved the wrong way
-# by more than their BENCHMARK.json bound, or whose head IQR exceeds the
-# bound, are flagged.
+# rounds head won, in the direction BENCHMARK.json gives (-bench: ns/op
+# and allocs/op per benchmark, lower is better). Verdict rule: a change
+# counts as better (or worse) only if it wins (or loses) at least 9 in 10
+# rounds (and 10 rounds were run) and the gap between the medians is wider
+# than the base's IQR; anything else reads "same". In perfbench mode, metrics whose median moved
+# the wrong way by more than their BENCHMARK.json bound, or whose head IQR
+# exceeds the bound, are flagged and make the exit status 1.
 #
 # Defaults: 10 rounds of fleet-routed, 40 s each, untraced, seeds from 1.
 set -euo pipefail
 
-rounds=10 workload=fleet-routed seconds=40 seed=1 trace=0
+rounds=10 workload=fleet-routed seconds=40 seed=1 trace=0 bench= benchtime=1s
 while [ $# -gt 2 ]; do
 	case "$1" in
 	-n) rounds="$2"; shift 2 ;;
@@ -32,11 +41,13 @@ while [ $# -gt 2 ]; do
 	-s) seconds="$2"; shift 2 ;;
 	-seed) seed="$2"; shift 2 ;;
 	-trace) trace="$2"; shift 2 ;;
+	-bench) bench="$2"; shift 2 ;;
+	-benchtime) benchtime="$2"; shift 2 ;;
 	*) echo "pair.sh: unknown option $1" >&2; exit 2 ;;
 	esac
 done
-if [ $# -ne 2 ]; then
-	sed -n '5,7p' "$0" >&2
+if [ $# -ne 2 ] || [[ "$1" == -* ]]; then
+	sed -n '7,9p' "$0" >&2
 	exit 2
 fi
 repo="$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)"
@@ -50,16 +61,32 @@ for side in base head; do
 	mkdir "$dir/$side"
 	git -C "$repo" archive "$rev" | tar -x -C "$dir/$side"
 	git -C "$repo" rev-parse "$rev" >"$dir/$side.rev"
-	(cd "$dir/$side/perfbench" && go build -o "$dir/$side.bin" .)
+	if [ -n "$bench" ]; then
+		(cd "$dir/$side" && go test -c -o "$dir/$side.bin" .)
+	else
+		(cd "$dir/$side/perfbench" && go build -o "$dir/$side.bin" .)
+	fi
 done
-echo "pair: base $(cat "$dir/base.rev") head $(cat "$dir/head.rev"); $rounds rounds of $workload, ${seconds}s, trace $trace; runs in $dir/runs" >&2
+if [ -n "$bench" ]; then
+	echo "pair: base $(cat "$dir/base.rev") head $(cat "$dir/head.rev"); $rounds rounds of -bench '$bench', benchtime $benchtime; runs in $dir/runs" >&2
+else
+	echo "pair: base $(cat "$dir/base.rev") head $(cat "$dir/head.rev"); $rounds rounds of $workload, ${seconds}s, trace $trace; runs in $dir/runs" >&2
+fi
 
 run() { # side round
-	local s=$((seed + $2))
-	# Each binary runs from its own tree, as perfbench/run.sh would.
+	local s=$((seed + $2)) out="$dir/runs/$1-$2.txt"
+	# Each binary runs from its own tree, as perfbench/run.sh or go test
+	# would.
+	if [ -n "$bench" ]; then
+		(cd "$dir/$1" && "$dir/$1.bin" -test.run '^$' -test.bench "$bench" \
+			-test.benchmem -test.benchtime "$benchtime" -test.count 1) >"$out" 2>&1 ||
+			{ cat "$out" >&2; echo "pair: $1 round $2 failed" >&2; exit 1; }
+		echo "  round $2 $1: $(grep -c '^Benchmark' "$out") benchmarks" >&2
+		return
+	fi
 	(cd "$dir/$1" && "$dir/$1.bin" --workload "$workload" --seed "$s" \
-		--seconds "$seconds" --trace "$trace") >"$dir/runs/$1-$2.txt" 2>&1
-	echo "  round $2 seed $s $1: $(tail -n 1 "$dir/runs/$1-$2.txt" | cut -c1-60)..." >&2
+		--seconds "$seconds" --trace "$trace") >"$out" 2>&1
+	echo "  round $2 seed $s $1: $(tail -n 1 "$out" | cut -c1-60)..." >&2
 }
 for ((i = 0; i < rounds; i++)); do
 	if ((i % 2 == 0)); then
@@ -69,16 +96,35 @@ for ((i = 0; i < rounds; i++)); do
 	fi
 done
 
-python3 - "$dir" "$rounds" <<'PYEOF'
-import json, math, statistics, sys
+python3 - "$dir" "$rounds" "$bench" <<'PYEOF'
+import json, math, re, statistics, sys
 
-d, n = sys.argv[1], int(sys.argv[2])
-spec = json.load(open(f"{d}/head/BENCHMARK.json"))
-better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+d, n, bench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+better, bound = {}, {}
+if not bench:
+    spec = json.load(open(f"{d}/head/BENCHMARK.json"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+def load_bench(path):
+    # "BenchmarkFoo-2  300  123 ns/op  0 B/op  0 allocs/op": keep ns/op and
+    # allocs/op, keyed by the name without its GOMAXPROCS suffix.
+    out = {}
+    for line in open(path):
+        f = line.split()
+        if not f or not f[0].startswith("Benchmark"):
+            continue
+        name = re.sub(r"-\d+$", "", f[0])
+        for v, unit in zip(f[2::2], f[3::2]):
+            if unit in ("ns/op", "allocs/op"):
+                out[f"{name} {unit}"] = float(v)
+    return out
 
 def load(side, i):
-    with open(f"{d}/runs/{side}-{i}.txt") as f:
+    path = f"{d}/runs/{side}-{i}.txt"
+    if bench:
+        return load_bench(path)
+    with open(path) as f:
         doc = json.loads(f.read().strip().splitlines()[-1])
     if not doc.get("correct"):
         sys.exit(f"pair: {side} round {i} failed its checks")
@@ -94,6 +140,8 @@ def iqr(xs):
     return q[2] - q[0]
 
 need = math.ceil(0.9 * n)
+if not set(base[0]) & set(head[0]):
+    sys.exit("pair: no metric in common; does the benchmark regexp match on both sides?")
 print(f"{'metric':32s} {'base median [IQR]':>26s} {'head median [IQR]':>26s} {'head wins':>9s}  verdict")
 flagged = 0
 for name in sorted(set(base[0]) & set(head[0])):
@@ -105,7 +153,9 @@ for name in sorted(set(base[0]) & set(head[0])):
     mb, mh, ib, ih = statistics.median(b), statistics.median(h), iqr(b), iqr(h)
     gap = abs(mh - mb)
     verdict = "same"
-    if gap > ib and wins >= need:
+    if n < 10:
+        verdict = "too few rounds"
+    elif gap > ib and wins >= need:
         verdict = "BETTER"
     elif gap > ib and losses >= need:
         verdict = "WORSE"
@@ -119,6 +169,6 @@ for name in sorted(set(base[0]) & set(head[0])):
     flagged += bool(notes)
     print(f"{name:32s} {mb:14.4g} [{ib:9.3g}] {mh:14.4g} [{ih:9.3g}] {wins:4d}/{n:<4d}  {verdict}"
           + (" (" + "; ".join(notes) + ")" if notes else ""))
-print(f"rule: better/worse needs >= {need}/{n} wins/losses and a median gap wider than the base IQR")
+print(f"rule: better/worse needs >= 10 rounds, >= {need}/{n} wins/losses and a median gap wider than the base IQR")
 sys.exit(1 if flagged else 0)
 PYEOF
