@@ -64,45 +64,40 @@ func (e *Evaluator) Begin(st control.State) {
 // Predict estimates time, power and energy of running the workload phase
 // observed at Begin under candidate configuration c. It allocates nothing.
 func (e *Evaluator) Predict(c soc.Config) Prediction {
-	m := e.m
-	c = m.P.Clamp(c)
-	fl := m.P.LittleOPPs[c.LittleFreqIdx].FreqMHz / 1000
-	fb := m.P.BigOPPs[c.BigFreqIdx].FreqMHz / 1000
-	cpiB, cpiL := e.cpi(c, fl, fb)
-	return m.predictionFrom(e.r, c, fl, fb, cpiB, cpiL)
+	c = e.m.P.Clamp(c)
+	pt := e.pair(c)
+	return e.m.predictionFrom(e.r, &pt, c)
 }
 
-// cpi returns the memoized CPI predictions for c's frequency pair, whose
-// frequencies in GHz are fl and fb.
-func (e *Evaluator) cpi(c soc.Config, fl, fb float64) (cpiB, cpiL float64) {
-	idx := c.BigFreqIdx*len(e.m.P.LittleOPPs) + c.LittleFreqIdx
-	if e.stamp[idx] == e.epoch {
-		return e.cpiB[idx], e.cpiL[idx]
+// pair returns the terms of c's frequency pair, with the CPI predictions
+// memoized.
+func (e *Evaluator) pair(c soc.Config) pairTerms {
+	m := e.m
+	fl := m.P.LittleOPPs[c.LittleFreqIdx].FreqMHz / 1000
+	fb := m.P.BigOPPs[c.BigFreqIdx].FreqMHz / 1000
+	idx := c.BigFreqIdx*len(m.P.LittleOPPs) + c.LittleFreqIdx
+	if e.stamp[idx] != e.epoch {
+		cpiB, cpiL := m.predictCPI(e.r, fl, fb)
+		e.stamp[idx], e.cpiB[idx], e.cpiL[idx] = e.epoch, cpiB, cpiL
 	}
-	cpiB, cpiL = e.m.predictCPI(e.r, fl, fb)
-	e.stamp[idx], e.cpiB[idx], e.cpiL[idx] = e.epoch, cpiB, cpiL
-	return cpiB, cpiL
+	return m.pairTermsOf(e.r, c, fl, fb, e.cpiB[idx], e.cpiL[idx])
 }
 
 // Best returns the candidate of soc.Platform.AppendNeighborhood(cur,
 // radius) with the lowest predicted energy, and that energy. It visits the
 // candidates in the same lf→bf→nl→nb order and replaces the best only on a
 // strictly lower energy, so it picks the candidate a Predict over the
-// materialized list would pick, and every energy is the one Predict
-// returns for it: the same operations in the same order. What the sweep
-// saves is repetition: the workload terms are derived once per call, the
-// frequencies, CPI pair, stall fractions and V²f products once per
-// frequency pair rather than once per core-count candidate, and no
-// candidate is clamped (each is in range by construction) or built into a
-// power feature vector. radius must not be negative.
+// materialized list would pick, with the energies Predict returns. What it
+// saves is repetition: the pair terms (frequencies, CPI pair, stall
+// fractions, V²f products) are derived once per frequency pair rather than
+// once per core-count candidate, no candidate is clamped (each is in range
+// by construction), and no power feature vector is built. radius must not
+// be negative.
 func (e *Evaluator) Best(cur soc.Config, radius int) (best soc.Config, bestE float64) {
 	if radius < 0 {
 		panic("il: negative neighbourhood radius")
 	}
-	m, p, r := e.m, e.m.P, e.r
-	w := (*[powerDim]float64)(m.Power.W)
-	stallNum := r.missPerInstr * p.MemLatencyNS
-	bytes := r.missPerInstr * r.instr * p.CacheLineB
+	p := e.m.P
 	span := func(v, lo, hi int) (int, int) {
 		return min(max(v-radius, lo), hi), min(max(v+radius, lo), hi)
 	}
@@ -110,47 +105,39 @@ func (e *Evaluator) Best(cur soc.Config, radius int) (best soc.Config, bestE flo
 	loBF, hiBF := span(cur.BigFreqIdx, 0, len(p.BigOPPs)-1)
 	loNL, hiNL := span(cur.NLittle, soc.MinNLittle, soc.MaxNLittle)
 	loNB, hiNB := span(cur.NBig, soc.MinNBig, soc.MaxNBig)
+	r, w := e.r, (*[powerDim]float64)(e.m.Power.W)
+	bytes := r.missPerInstr * r.instr * p.CacheLineB
 	found := false
 	for lf := loLF; lf <= hiLF; lf++ {
-		lo := p.LittleOPPs[lf]
-		fl := lo.FreqMHz / 1000
-		vl2 := lo.Volt * lo.Volt
-		vl2fl := vl2 * fl
 		for bf := loBF; bf <= hiBF; bf++ {
-			bo := p.BigOPPs[bf]
-			fb := bo.FreqMHz / 1000
-			vb2 := bo.Volt * bo.Volt
-			vb2fb := vb2 * fb
 			c := soc.Config{LittleFreqIdx: lf, BigFreqIdx: bf}
-			cpiB, cpiL := e.cpi(c, fl, fb)
-			stallB := stallNum * fb / cpiB
-			stallL := stallNum * fl / cpiL
+			pt := e.pair(c)
 			for c.NLittle = loNL; c.NLittle <= hiNL; c.NLittle++ {
 				for c.NBig = loNB; c.NBig <= hiNB; c.NBig++ {
-					// predictionFrom and powerFeaturesInto, term by term.
+					// predictionFrom's energy, with powerFeaturesInto's
+					// terms dotted as they are formed.
 					ub, ul := soc.Placement(r.threads, c)
-					energy := 1e18
-					if ips := float64(ub)*fb*1e9/cpiB + float64(ul)*fl*1e9/cpiL; !(ips <= 0) {
+					en := 1e18
+					if ips := float64(ub)*pt.fb*1e9/pt.cpiB + float64(ul)*pt.fl*1e9/pt.cpiL; !(ips <= 0) {
 						t := r.instr / ips
-						big, little := vb2fb*float64(ub), vl2fl*float64(ul)
 						pw := 0.0
-						pw += w[0] * big
-						pw += w[1] * (big * stallB)
-						pw += w[2] * (vb2fb * float64(c.NBig-ub))
-						pw += w[3] * little
-						pw += w[4] * (little * stallL)
-						pw += w[5] * (vl2fl * float64(c.NLittle-ul))
-						pw += w[6] * (vb2 * float64(c.NBig))
-						pw += w[7] * (vl2 * float64(c.NLittle))
+						pw += w[0] * (pt.vb2fb * float64(ub))
+						pw += w[1] * (pt.vb2fb * float64(ub) * pt.stallB)
+						pw += w[2] * (pt.vb2fb * float64(c.NBig-ub))
+						pw += w[3] * (pt.vl2fl * float64(ul))
+						pw += w[4] * (pt.vl2fl * float64(ul) * pt.stallL)
+						pw += w[5] * (pt.vl2fl * float64(c.NLittle-ul))
+						pw += w[6] * (pt.vb2 * float64(c.NBig))
+						pw += w[7] * (pt.vl2 * float64(c.NLittle))
 						pw += w[8] * 1
 						pw += w[9] * (bytes / t / 1e9)
 						if pw < minPower {
 							pw = minPower
 						}
-						energy = pw * t
+						en = pw * t
 					}
-					if energy < bestE || !found {
-						best, bestE, found = c, energy, true
+					if en < bestE || !found {
+						best, bestE, found = c, en, true
 					}
 				}
 			}

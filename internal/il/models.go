@@ -129,27 +129,44 @@ func (m *OnlineModels) predictCPI(r rates, flGHz, fbGHz float64) (cpiBig, cpiLit
 	return cpiBig, cpiLittle
 }
 
-// powerFeaturesInto builds the linear power-model input for a candidate
-// configuration given observed workload rates into buf (length powerDim) and
-// returns it. stallFrac terms let the model express reduced switching
-// activity while memory stalled.
-func (m *OnlineModels) powerFeaturesInto(buf []float64, r rates, c soc.Config, cpiBig, cpiLittle, extBWGBs float64) []float64 {
+// pairTerms are the parts of a candidate's prediction that depend only on
+// its frequency pair, given the observed workload rates: the frequencies in
+// GHz, the squared OPP voltages and V²f products, the CPI predictions and
+// the memory-stall fractions. A candidate sweep derives them once per pair.
+type pairTerms struct {
+	fl, fb         float64
+	vl2, vb2       float64
+	vl2fl, vb2fb   float64
+	cpiB, cpiL     float64
+	stallB, stallL float64
+}
+
+// pairTermsOf derives the pair terms of c's frequency pair, whose
+// frequencies are fl and fb GHz and whose CPI predictions are cpiB and cpiL.
+func (m *OnlineModels) pairTermsOf(r rates, c soc.Config, fl, fb, cpiB, cpiL float64) pairTerms {
 	lo := m.P.LittleOPPs[c.LittleFreqIdx]
 	bo := m.P.BigOPPs[c.BigFreqIdx]
-	fl, fb := lo.FreqMHz/1000, bo.FreqMHz/1000
-	ub, ul := soc.Placement(r.threads, c)
-	stallB := r.missPerInstr * m.P.MemLatencyNS * fb / cpiBig
-	stallL := r.missPerInstr * m.P.MemLatencyNS * fl / cpiLittle
-	vb2fb := bo.Volt * bo.Volt * fb
-	vl2fl := lo.Volt * lo.Volt * fl
-	buf[0] = vb2fb * float64(ub)
-	buf[1] = vb2fb * float64(ub) * stallB
-	buf[2] = vb2fb * float64(c.NBig-ub)
-	buf[3] = vl2fl * float64(ul)
-	buf[4] = vl2fl * float64(ul) * stallL
-	buf[5] = vl2fl * float64(c.NLittle-ul)
-	buf[6] = bo.Volt * bo.Volt * float64(c.NBig)
-	buf[7] = lo.Volt * lo.Volt * float64(c.NLittle)
+	pt := pairTerms{fl: fl, fb: fb, vl2: lo.Volt * lo.Volt, vb2: bo.Volt * bo.Volt, cpiB: cpiB, cpiL: cpiL}
+	pt.vl2fl, pt.vb2fb = pt.vl2*fl, pt.vb2*fb
+	pt.stallB = r.missPerInstr * m.P.MemLatencyNS * fb / cpiB
+	pt.stallL = r.missPerInstr * m.P.MemLatencyNS * fl / cpiL
+	return pt
+}
+
+// powerFeaturesInto builds the linear power-model input for configuration
+// c, with ub big and ul little cores busy, into buf (length powerDim) and
+// returns it. stallFrac terms let the model express reduced switching
+// activity while memory stalled.
+func powerFeaturesInto(buf []float64, pt *pairTerms, c soc.Config, ub, ul int, extBWGBs float64) []float64 {
+	buf = buf[:powerDim]
+	buf[0] = pt.vb2fb * float64(ub)
+	buf[1] = pt.vb2fb * float64(ub) * pt.stallB
+	buf[2] = pt.vb2fb * float64(c.NBig-ub)
+	buf[3] = pt.vl2fl * float64(ul)
+	buf[4] = pt.vl2fl * float64(ul) * pt.stallL
+	buf[5] = pt.vl2fl * float64(c.NLittle-ul)
+	buf[6] = pt.vb2 * float64(c.NBig)
+	buf[7] = pt.vl2 * float64(c.NLittle)
 	buf[8] = 1
 	buf[9] = extBWGBs
 	return buf
@@ -175,22 +192,24 @@ func (m *OnlineModels) Predict(st control.State, c soc.Config) Prediction {
 	fl := m.P.LittleOPPs[c.LittleFreqIdx].FreqMHz / 1000
 	fb := m.P.BigOPPs[c.BigFreqIdx].FreqMHz / 1000
 	cpiB, cpiL := m.predictCPI(r, fl, fb)
-	return m.predictionFrom(r, c, fl, fb, cpiB, cpiL)
+	pt := m.pairTermsOf(r, c, fl, fb, cpiB, cpiL)
+	return m.predictionFrom(r, &pt, c)
 }
 
-// predictionFrom completes a prediction from already-derived rates and CPI
-// values — the shared tail of Predict and Evaluator.Predict. The power
-// feature vector lives on the stack.
-func (m *OnlineModels) predictionFrom(r rates, c soc.Config, fl, fb, cpiB, cpiL float64) Prediction {
+// predictionFrom completes a prediction of c from already-derived rates and
+// pair terms — the shared tail of Predict and Evaluator.Predict, which
+// Evaluator.Best mirrors term by term. The power feature vector lives on
+// the stack.
+func (m *OnlineModels) predictionFrom(r rates, pt *pairTerms, c soc.Config) Prediction {
 	ub, ul := soc.Placement(r.threads, c)
-	ips := float64(ub)*fb*1e9/cpiB + float64(ul)*fl*1e9/cpiL
+	ips := float64(ub)*pt.fb*1e9/pt.cpiB + float64(ul)*pt.fl*1e9/pt.cpiL
 	if ips <= 0 {
 		return Prediction{Time: 1e9, Power: 1e9, Energy: 1e18}
 	}
 	t := r.instr / ips
 	extBW := r.missPerInstr * r.instr * m.P.CacheLineB / t / 1e9
 	var buf [powerDim]float64
-	p := m.Power.Predict(m.powerFeaturesInto(buf[:], r, c, cpiB, cpiL, extBW))
+	p := m.Power.Predict(powerFeaturesInto(buf[:], pt, c, ub, ul, extBW))
 	if p < minPower {
 		p = minPower
 	}
@@ -244,8 +263,9 @@ func (m *OnlineModels) updatePowerFrom(st control.State) {
 		return
 	}
 	extBW := r.missPerInstr * r.instr * m.P.CacheLineB / t / 1e9
+	pt := m.pairTermsOf(r, c, fl, fb, cpiB, cpiL)
 	var buf [powerDim]float64
-	m.Power.Update(m.powerFeaturesInto(buf[:], r, c, cpiB, cpiL, extBW), st.Counters.ChipPower)
+	m.Power.Update(powerFeaturesInto(buf[:], &pt, c, ub, ul, extBW), st.Counters.ChipPower)
 }
 
 // updateCPI applies either the full RLS update or the intercept-only
