@@ -52,10 +52,10 @@ type OnlineIL struct {
 
 	// Decision-path scratch, reused across calls so a steady-state Decide
 	// allocates nothing: the state feature vector, the aggregation label
-	// and the per-decision model evaluator. Decide was
-	// never safe to call from two goroutines; this keeps that contract
-	// load-bearing (async mode only moves training off the decide
-	// goroutine, not decisions themselves).
+	// and the per-decision model evaluator. Decide was never safe to call
+	// from two goroutines; this keeps that contract load-bearing (async
+	// mode only moves training off the decide goroutine, not decisions
+	// themselves).
 	featBuf []float64
 	labBuf  []float64
 	ev      *Evaluator
@@ -117,9 +117,10 @@ func (o *OnlineIL) PolicyConfig(st control.State) soc.Config {
 // DAgger-style data aggregation. Steady-state decisions are allocation-free:
 // the evaluator sweeps the candidate neighborhood in place (Evaluator.Best)
 // without materializing it, feature vectors and model scratch are reused
-// buffers, and the CPI predictions are memoized per frequency pair. Training happens through the Trainer — inline for the
-// synchronous default, on a background worker in async mode — so this path
-// itself never grows a latency tail beyond the candidate sweep.
+// buffers, and the CPI predictions are memoized per frequency pair.
+// Training happens through the Trainer — inline for the synchronous
+// default, on a background worker in async mode — so this path itself
+// never grows a latency tail beyond the candidate sweep.
 func (o *OnlineIL) Decide(st control.State) soc.Config {
 	o.decisions++
 	polCfg := o.PolicyConfig(st)

@@ -179,12 +179,13 @@ func (p *Platform) Neighborhood(c Config, radius int) []Config {
 }
 
 // AppendNeighborhood appends the neighborhood of c to dst and returns the
-// extended slice — the allocation-free form of Neighborhood for per-decision
-// hot paths that reuse the candidate buffer. The candidate set is the cross
-// product of the four clamped knob ranges, enumerated directly: each knob
-// value appears exactly once per range, so the result is duplicate-free by
-// construction and in the same order the clamp-and-dedup enumeration
-// produced historically.
+// extended slice — the allocation-free form of Neighborhood. The candidate
+// set is the cross product of the four clamped knob ranges, enumerated
+// directly: each knob value appears exactly once per range, so the result
+// is duplicate-free by construction and in the same order the
+// clamp-and-dedup enumeration produced historically. The online-IL
+// decision (il.Evaluator.Best) sweeps the same ranges in the same order
+// without materializing them; its tests compare it against this list.
 func (p *Platform) AppendNeighborhood(dst []Config, c Config, radius int) []Config {
 	loLF := clampInt(c.LittleFreqIdx-radius, 0, len(p.LittleOPPs)-1)
 	hiLF := clampInt(c.LittleFreqIdx+radius, 0, len(p.LittleOPPs)-1)

@@ -17,8 +17,8 @@
 # (Mytkowicz et al., ASPLOS 2009; Kalibera & Jones, ISMM 2013). A perfbench
 # round runs on seed FIRST+i; a -bench round runs the matching benchmarks
 # once each (-benchmem, -benchtime T, default 1s; a fixed count such as
-# 200x gives both sides the same work when a benchmark's cost depends on
-# how far it has run). Every run's output stays in the temp directory's
+# 200x gives both sides the same work when a benchmark's work per op
+# changes as it runs). Every run's output stays in the temp directory's
 # runs/.
 #
 # Per metric it prints both medians, both interquartile ranges and the
@@ -32,6 +32,10 @@
 #
 # Defaults: 10 rounds of fleet-routed, 40 s each, untraced, seeds from 1.
 set -euo pipefail
+# The body is one compound command, so bash parses all of it before running
+# any of it: editing or checking out this file during a long run cannot
+# change the run.
+{
 
 rounds=10 workload=fleet-routed seconds=40 seed=1 trace=0 bench= benchtime=1s
 while [ $# -gt 2 ]; do
@@ -172,3 +176,5 @@ for name in sorted(set(base[0]) & set(head[0])):
 print(f"rule: better/worse needs >= 10 rounds, >= {need}/{n} wins/losses and a median gap wider than the base IQR")
 sys.exit(1 if flagged else 0)
 PYEOF
+exit
+}
