@@ -26,9 +26,10 @@
 # and allocs/op per benchmark, lower is better). Verdict rule: a change
 # counts as better (or worse) only if it wins (or loses) at least 9 in 10
 # rounds (and 10 rounds were run) and the gap between the medians is wider
-# than the base's IQR; anything else reads "same". In perfbench mode, metrics whose median moved
-# the wrong way by more than their BENCHMARK.json bound, or whose head IQR
-# exceeds the bound, are flagged and make the exit status 1.
+# than the base's IQR; anything else reads "same". In perfbench mode,
+# metrics whose median moved the wrong way by more than their
+# BENCHMARK.json bound, or whose head IQR exceeds the bound, are flagged
+# and make the exit status 1.
 #
 # Defaults: 10 rounds of fleet-routed, 40 s each, untraced, seeds from 1.
 set -euo pipefail
