@@ -302,10 +302,11 @@ func BenchmarkOracleSnippetSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborhoodAppend measures the candidate-set enumeration alone
-// (radius 3 from an interior configuration, the online-IL default): the
-// direct range enumeration into a reused buffer that replaced the
-// clamp-and-dedup map of the seed.
+// BenchmarkNeighborhoodAppend measures the materialized candidate-set
+// enumeration (radius 3 from an interior configuration, the online-IL
+// default) into a reused buffer. The online-IL decision no longer builds
+// this list — Evaluator.Best sweeps the same ranges in place — so this is
+// the cost of the reference enumeration its tests compare against.
 func BenchmarkNeighborhoodAppend(b *testing.B) {
 	p := soc.NewXU3()
 	c := soc.Config{LittleFreqIdx: 6, BigFreqIdx: 9, NLittle: 2, NBig: 2}

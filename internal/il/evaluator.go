@@ -66,7 +66,7 @@ func (e *Evaluator) Begin(st control.State) {
 func (e *Evaluator) Predict(c soc.Config) Prediction {
 	c = e.m.P.Clamp(c)
 	pt := e.pair(c)
-	return e.m.predictionFrom(e.r, &pt, c)
+	return e.m.predictionFrom(&e.r, &pt, c)
 }
 
 // pair returns the terms of c's frequency pair, with the CPI predictions
@@ -90,53 +90,21 @@ func (e *Evaluator) pair(c soc.Config) pairTerms {
 // materialized list would pick, with the energies Predict returns. What it
 // saves is repetition: the pair terms (frequencies, CPI pair, stall
 // fractions, V²f products) are derived once per frequency pair rather than
-// once per core-count candidate, no candidate is clamped (each is in range
-// by construction), and no power feature vector is built. radius must not
-// be negative.
+// once per core-count candidate, and no candidate is clamped (each is in
+// range by construction). radius must not be negative.
 func (e *Evaluator) Best(cur soc.Config, radius int) (best soc.Config, bestE float64) {
 	if radius < 0 {
 		panic("il: negative neighbourhood radius")
 	}
-	p := e.m.P
-	span := func(v, lo, hi int) (int, int) {
-		return min(max(v-radius, lo), hi), min(max(v+radius, lo), hi)
-	}
-	loLF, hiLF := span(cur.LittleFreqIdx, 0, len(p.LittleOPPs)-1)
-	loBF, hiBF := span(cur.BigFreqIdx, 0, len(p.BigOPPs)-1)
-	loNL, hiNL := span(cur.NLittle, soc.MinNLittle, soc.MaxNLittle)
-	loNB, hiNB := span(cur.NBig, soc.MinNBig, soc.MaxNBig)
-	r, w := e.r, (*[powerDim]float64)(e.m.Power.W)
-	bytes := r.missPerInstr * r.instr * p.CacheLineB
+	lo, hi := e.m.P.NeighborhoodBounds(cur, radius)
 	found := false
-	for lf := loLF; lf <= hiLF; lf++ {
-		for bf := loBF; bf <= hiBF; bf++ {
+	for lf := lo.LittleFreqIdx; lf <= hi.LittleFreqIdx; lf++ {
+		for bf := lo.BigFreqIdx; bf <= hi.BigFreqIdx; bf++ {
 			c := soc.Config{LittleFreqIdx: lf, BigFreqIdx: bf}
 			pt := e.pair(c)
-			for c.NLittle = loNL; c.NLittle <= hiNL; c.NLittle++ {
-				for c.NBig = loNB; c.NBig <= hiNB; c.NBig++ {
-					// predictionFrom's energy, with powerFeaturesInto's
-					// terms dotted as they are formed.
-					ub, ul := soc.Placement(r.threads, c)
-					en := 1e18
-					if ips := float64(ub)*pt.fb*1e9/pt.cpiB + float64(ul)*pt.fl*1e9/pt.cpiL; !(ips <= 0) {
-						t := r.instr / ips
-						pw := 0.0
-						pw += w[0] * (pt.vb2fb * float64(ub))
-						pw += w[1] * (pt.vb2fb * float64(ub) * pt.stallB)
-						pw += w[2] * (pt.vb2fb * float64(c.NBig-ub))
-						pw += w[3] * (pt.vl2fl * float64(ul))
-						pw += w[4] * (pt.vl2fl * float64(ul) * pt.stallL)
-						pw += w[5] * (pt.vl2fl * float64(c.NLittle-ul))
-						pw += w[6] * (pt.vb2 * float64(c.NBig))
-						pw += w[7] * (pt.vl2 * float64(c.NLittle))
-						pw += w[8] * 1
-						pw += w[9] * (bytes / t / 1e9)
-						if pw < minPower {
-							pw = minPower
-						}
-						en = pw * t
-					}
-					if en < bestE || !found {
+			for c.NLittle = lo.NLittle; c.NLittle <= hi.NLittle; c.NLittle++ {
+				for c.NBig = lo.NBig; c.NBig <= hi.NBig; c.NBig++ {
+					if en := e.m.predictionFrom(&e.r, &pt, c).Energy; en < bestE || !found {
 						best, bestE, found = c, en, true
 					}
 				}

@@ -156,7 +156,8 @@ func (m *OnlineModels) pairTermsOf(r rates, c soc.Config, fl, fb, cpiB, cpiL flo
 // powerFeaturesInto builds the linear power-model input for configuration
 // c, with ub big and ul little cores busy, into buf (length powerDim) and
 // returns it. stallFrac terms let the model express reduced switching
-// activity while memory stalled.
+// activity while memory stalled. predictionFrom dots the same terms with
+// the model's weights without building the vector.
 func powerFeaturesInto(buf []float64, pt *pairTerms, c soc.Config, ub, ul int, extBWGBs float64) []float64 {
 	buf = buf[:powerDim]
 	buf[0] = pt.vb2fb * float64(ub)
@@ -193,14 +194,16 @@ func (m *OnlineModels) Predict(st control.State, c soc.Config) Prediction {
 	fb := m.P.BigOPPs[c.BigFreqIdx].FreqMHz / 1000
 	cpiB, cpiL := m.predictCPI(r, fl, fb)
 	pt := m.pairTermsOf(r, c, fl, fb, cpiB, cpiL)
-	return m.predictionFrom(r, &pt, c)
+	return m.predictionFrom(&r, &pt, c)
 }
 
 // predictionFrom completes a prediction of c from already-derived rates and
-// pair terms — the shared tail of Predict and Evaluator.Predict, which
-// Evaluator.Best mirrors term by term. The power feature vector lives on
-// the stack.
-func (m *OnlineModels) predictionFrom(r rates, pt *pairTerms, c soc.Config) Prediction {
+// pair terms — the shared tail of Predict, Evaluator.Predict and
+// Evaluator.Best. The power is the model's weights dotted with
+// powerFeaturesInto's terms as they are formed, summed in index order from
+// +0 as rls.RLS.Predict sums them, so no feature vector is zeroed or
+// stored; TestPowerDotMatchesFeatures holds the two to the same result.
+func (m *OnlineModels) predictionFrom(r *rates, pt *pairTerms, c soc.Config) Prediction {
 	ub, ul := soc.Placement(r.threads, c)
 	ips := float64(ub)*pt.fb*1e9/pt.cpiB + float64(ul)*pt.fl*1e9/pt.cpiL
 	if ips <= 0 {
@@ -208,8 +211,18 @@ func (m *OnlineModels) predictionFrom(r rates, pt *pairTerms, c soc.Config) Pred
 	}
 	t := r.instr / ips
 	extBW := r.missPerInstr * r.instr * m.P.CacheLineB / t / 1e9
-	var buf [powerDim]float64
-	p := m.Power.Predict(powerFeaturesInto(buf[:], pt, c, ub, ul, extBW))
+	w := (*[powerDim]float64)(m.Power.W)
+	p := 0.0
+	p += w[0] * (pt.vb2fb * float64(ub))
+	p += w[1] * (pt.vb2fb * float64(ub) * pt.stallB)
+	p += w[2] * (pt.vb2fb * float64(c.NBig-ub))
+	p += w[3] * (pt.vl2fl * float64(ul))
+	p += w[4] * (pt.vl2fl * float64(ul) * pt.stallL)
+	p += w[5] * (pt.vl2fl * float64(c.NLittle-ul))
+	p += w[6] * (pt.vb2 * float64(c.NBig))
+	p += w[7] * (pt.vl2 * float64(c.NLittle))
+	p += w[8] * 1
+	p += w[9] * extBW
 	if p < minPower {
 		p = minPower
 	}

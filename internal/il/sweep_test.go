@@ -168,3 +168,49 @@ func TestEvaluatorBestMatchesPredict(t *testing.T) {
 		}
 	}
 }
+
+// TestPowerDotMatchesFeatures holds predictionFrom's in-place power dot to
+// the model's own prediction on powerFeaturesInto's vector, which is what
+// the power update trains on: the same terms in the same order, bit for
+// bit. The weights are random with some ±0, NaN, Inf and huge entries, the
+// states, configurations and CPI pairs random.
+func TestPowerDotMatchesFeatures(t *testing.T) {
+	p := soc.NewXU3()
+	m := NewOnlineModels(p)
+	apps := shortApps(8)
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 1e300}
+	rng := rand.New(rand.NewSource(11))
+	var buf [powerDim]float64
+	for i := 0; i < 2000; i++ {
+		for k := range m.Power.W {
+			m.Power.W[k] = rng.NormFloat64()
+			if rng.Intn(8) == 0 {
+				m.Power.W[k] = specials[rng.Intn(len(specials))]
+			}
+		}
+		app := apps[rng.Intn(len(apps))]
+		st := stateFor(p, app.Snippets[rng.Intn(len(app.Snippets))], p.Configs()[rng.Intn(p.NumConfigs())])
+		r := ratesOf(st)
+		c := p.Configs()[rng.Intn(p.NumConfigs())]
+		fl := p.LittleOPPs[c.LittleFreqIdx].FreqMHz / 1000
+		fb := p.BigOPPs[c.BigFreqIdx].FreqMHz / 1000
+		pt := m.pairTermsOf(r, c, fl, fb, 0.3+3*rng.Float64(), 0.5+3*rng.Float64())
+
+		got := m.predictionFrom(&r, &pt, c)
+		ub, ul := soc.Placement(r.threads, c)
+		extBW := r.missPerInstr * r.instr * p.CacheLineB / got.Time / 1e9
+		want := m.Power.Predict(powerFeaturesInto(buf[:], &pt, c, ub, ul, extBW))
+		if want < minPower {
+			want = minPower
+		}
+		if !sameValue(got.Power, want) || !sameValue(got.Energy, want*got.Time) {
+			t.Fatalf("case %d (config %+v): predictionFrom power %v energy %v, feature-vector dot %v energy %v",
+				i, c, got.Power, got.Energy, want, want*got.Time)
+		}
+	}
+}
+
+// sameValue reports whether a and b have the same bits or are both NaN.
+func sameValue(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}

@@ -178,27 +178,30 @@ func (p *Platform) Neighborhood(c Config, radius int) []Config {
 	return p.AppendNeighborhood(nil, c, radius)
 }
 
+// NeighborhoodBounds returns the corners of the neighborhood of c: each
+// knob of lo and hi is that knob of c minus and plus radius, clamped to its
+// valid range. The neighborhood is every configuration whose knobs all lie
+// within [lo, hi].
+func (p *Platform) NeighborhoodBounds(c Config, radius int) (lo, hi Config) {
+	return p.Clamp(Config{c.LittleFreqIdx - radius, c.BigFreqIdx - radius, c.NLittle - radius, c.NBig - radius}),
+		p.Clamp(Config{c.LittleFreqIdx + radius, c.BigFreqIdx + radius, c.NLittle + radius, c.NBig + radius})
+}
+
 // AppendNeighborhood appends the neighborhood of c to dst and returns the
 // extended slice — the allocation-free form of Neighborhood. The candidate
-// set is the cross product of the four clamped knob ranges, enumerated
-// directly: each knob value appears exactly once per range, so the result
-// is duplicate-free by construction and in the same order the
+// set is the cross product of the four NeighborhoodBounds ranges,
+// enumerated directly: each knob value appears exactly once per range, so
+// the result is duplicate-free by construction and in the same order the
 // clamp-and-dedup enumeration produced historically. The online-IL
 // decision (il.Evaluator.Best) sweeps the same ranges in the same order
-// without materializing them; its tests compare it against this list.
+// without materializing them; this list is the reference its tests
+// compare it against.
 func (p *Platform) AppendNeighborhood(dst []Config, c Config, radius int) []Config {
-	loLF := clampInt(c.LittleFreqIdx-radius, 0, len(p.LittleOPPs)-1)
-	hiLF := clampInt(c.LittleFreqIdx+radius, 0, len(p.LittleOPPs)-1)
-	loBF := clampInt(c.BigFreqIdx-radius, 0, len(p.BigOPPs)-1)
-	hiBF := clampInt(c.BigFreqIdx+radius, 0, len(p.BigOPPs)-1)
-	loNL := clampInt(c.NLittle-radius, MinNLittle, MaxNLittle)
-	hiNL := clampInt(c.NLittle+radius, MinNLittle, MaxNLittle)
-	loNB := clampInt(c.NBig-radius, MinNBig, MaxNBig)
-	hiNB := clampInt(c.NBig+radius, MinNBig, MaxNBig)
-	for lf := loLF; lf <= hiLF; lf++ {
-		for bf := loBF; bf <= hiBF; bf++ {
-			for nl := loNL; nl <= hiNL; nl++ {
-				for nb := loNB; nb <= hiNB; nb++ {
+	lo, hi := p.NeighborhoodBounds(c, radius)
+	for lf := lo.LittleFreqIdx; lf <= hi.LittleFreqIdx; lf++ {
+		for bf := lo.BigFreqIdx; bf <= hi.BigFreqIdx; bf++ {
+			for nl := lo.NLittle; nl <= hi.NLittle; nl++ {
+				for nb := lo.NBig; nb <= hi.NBig; nb++ {
 					dst = append(dst, Config{lf, bf, nl, nb})
 				}
 			}
@@ -210,13 +213,11 @@ func (p *Platform) AppendNeighborhood(dst []Config, c Config, radius int) []Conf
 // InNeighborhood reports whether n is a member of the candidate set
 // AppendNeighborhood(c, radius) enumerates. n must be a valid configuration.
 func (p *Platform) InNeighborhood(c, n Config, radius int) bool {
-	in := func(v, cv, lo, hi int) bool {
-		return v >= clampInt(cv-radius, lo, hi) && v <= clampInt(cv+radius, lo, hi)
-	}
-	return in(n.LittleFreqIdx, c.LittleFreqIdx, 0, len(p.LittleOPPs)-1) &&
-		in(n.BigFreqIdx, c.BigFreqIdx, 0, len(p.BigOPPs)-1) &&
-		in(n.NLittle, c.NLittle, MinNLittle, MaxNLittle) &&
-		in(n.NBig, c.NBig, MinNBig, MaxNBig)
+	lo, hi := p.NeighborhoodBounds(c, radius)
+	return n.LittleFreqIdx >= lo.LittleFreqIdx && n.LittleFreqIdx <= hi.LittleFreqIdx &&
+		n.BigFreqIdx >= lo.BigFreqIdx && n.BigFreqIdx <= hi.BigFreqIdx &&
+		n.NLittle >= lo.NLittle && n.NLittle <= hi.NLittle &&
+		n.NBig >= lo.NBig && n.NBig <= hi.NBig
 }
 
 // Features encodes a configuration as normalized policy inputs in [0,1].

@@ -218,10 +218,11 @@ func TestNeighborhood(t *testing.T) {
 }
 
 // referenceNeighborhood is the historical clamp-and-dedup enumeration the
-// direct range enumeration of AppendNeighborhood replaced. The decision hot
-// path depends on the two producing identical candidate sequences (not just
-// identical sets): the argmin tie-breaking of OnlineIL.Decide follows
-// first-seen order.
+// direct range enumeration of AppendNeighborhood replaced. The two must
+// produce identical candidate sequences (not just identical sets):
+// AppendNeighborhood is the reference the online-IL sweep
+// (il.Evaluator.Best) is tested against, and the argmin tie-breaking of
+// that sweep follows first-seen order.
 func referenceNeighborhood(p *Platform, c Config, radius int) []Config {
 	var out []Config
 	seen := map[uint32]bool{}
