@@ -105,11 +105,6 @@ func (in *Injector) partitioned(host string) bool {
 	return m != nil && (*m)[host]
 }
 
-// Active reports whether any fault class has a nonzero probability.
-func (in *Injector) Active() bool {
-	return in.opt.LatencyP > 0 || in.opt.ErrorP > 0 || in.opt.ResetP > 0 || in.opt.TornP > 0
-}
-
 // roll samples one uniform float from the shared schedule.
 func (in *Injector) roll() float64 {
 	in.mu.Lock()
@@ -204,9 +199,4 @@ func (in *Injector) TornWrites() func(record []byte) []byte {
 		in.mu.Unlock()
 		return record[:cut]
 	}
-}
-
-// Counts returns a snapshot of all injection counters.
-func (in *Injector) Counts() (latencies, errors, resets, torn uint64) {
-	return in.Latencies.Load(), in.Errors.Load(), in.Resets.Load(), in.Torn.Load()
 }

@@ -47,7 +47,7 @@ func TestMiddlewareErrorAndReset(t *testing.T) {
 	if ok == 0 || errs == 0 || resets == 0 {
 		t.Fatalf("fault mix never exercised all classes: ok=%d errs=%d resets=%d", ok, errs, resets)
 	}
-	_, gotErrs, gotResets, _ := in.Counts()
+	gotErrs, gotResets := in.Errors.Load(), in.Resets.Load()
 	if gotErrs == 0 || gotResets == 0 {
 		t.Fatalf("counters not incremented: errors=%d resets=%d", gotErrs, gotResets)
 	}

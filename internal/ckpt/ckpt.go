@@ -156,9 +156,6 @@ func Open(opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.opt.Dir }
-
 // segName formats a segment file name; seqOf parses one back.
 func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.ckpt", seq) }
 

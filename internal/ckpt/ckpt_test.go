@@ -28,7 +28,7 @@ func replayAll(t *testing.T, s *Store) (map[string][]byte, []string) {
 // recovery path every test funnels through.
 func reopen(t *testing.T, s *Store) *Store {
 	t.Helper()
-	dir := s.Dir()
+	dir := s.opt.Dir
 	opt := s.opt
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSegmentRollAndCompact(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := filepath.Glob(filepath.Join(s.Dir(), "seg-*.ckpt"))
+	names, _ := filepath.Glob(filepath.Join(s.opt.Dir, "seg-*.ckpt"))
 	if len(names) != 2 { // the compacted segment plus the fresh active one
 		t.Fatalf("after compact %d segments remain: %v", len(names), names)
 	}

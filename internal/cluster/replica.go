@@ -165,9 +165,6 @@ func (r *Replicator) enqueue(it repItem) {
 	}
 }
 
-// Dropped returns the total replica records dropped from full queues.
-func (r *Replicator) Dropped() float64 { return r.mDropped.Value() }
-
 // Stop drains nothing further and stops the workers; queued records are
 // abandoned (they describe state the checkpoint store also holds).
 // Idempotent.

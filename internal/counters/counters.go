@@ -7,8 +7,6 @@
 // simulator's microarchitectural state, with identical semantics.
 package counters
 
-import "fmt"
-
 // Snapshot is the per-snippet counter record of Table I.
 type Snapshot struct {
 	InstructionsRetired float64 // instructions retired in the snippet
@@ -20,55 +18,6 @@ type Snapshot struct {
 	LittleUtil          float64 // little-cluster utilization in [0,1]
 	BigUtil             float64 // big-cluster utilization in [0,1]
 	ChipPower           float64 // total chip power consumption, W
-}
-
-// TableI returns the names of the nine quantities of the paper's Table I in
-// a stable order matching Vector.
-func TableI() []string {
-	return []string{
-		"InstructionsRetired",
-		"CPUCycles",
-		"BranchMissPredPerCore",
-		"Level2CacheMisses",
-		"DataMemoryAccess",
-		"NoncacheExternalMemoryRequest",
-		"LittleClusterUtilization",
-		"BigClusterUtilization",
-		"TotalChipPowerConsumption",
-	}
-}
-
-// Vector returns the snapshot as a feature vector ordered as TableI.
-func (s Snapshot) Vector() []float64 {
-	return []float64{
-		s.InstructionsRetired,
-		s.CPUCycles,
-		s.BranchMissPredPC,
-		s.L2Misses,
-		s.DataMemAccess,
-		s.NoncacheExtMemReq,
-		s.LittleUtil,
-		s.BigUtil,
-		s.ChipPower,
-	}
-}
-
-// FromVector rebuilds a Snapshot from a TableI-ordered vector.
-func FromVector(v []float64) (Snapshot, error) {
-	if len(v) != 9 {
-		return Snapshot{}, fmt.Errorf("counters: want 9 values, got %d", len(v))
-	}
-	return Snapshot{
-		InstructionsRetired: v[0],
-		CPUCycles:           v[1],
-		BranchMissPredPC:    v[2],
-		L2Misses:            v[3],
-		DataMemAccess:       v[4],
-		NoncacheExtMemReq:   v[5],
-		LittleUtil:          v[6],
-		BigUtil:             v[7],
-		ChipPower:           v[8],
-	}, nil
 }
 
 // Derived returns normalized microarchitecture-independent rates that the
@@ -116,13 +65,8 @@ type DerivedFeatures struct {
 	Power       float64
 }
 
-// Vector returns the derived features as a slice in declaration order.
-func (d DerivedFeatures) Vector() []float64 {
-	return d.AppendVector(make([]float64, 0, NumDerived))
-}
-
 // AppendVector appends the derived features to dst in declaration order and
-// returns the extended slice — the allocation-free form of Vector.
+// returns the extended slice.
 func (d DerivedFeatures) AppendVector(dst []float64) []float64 {
 	return append(dst,
 		d.IPC, d.L2MPKI, d.BranchMPKI, d.MemPerInstr,
@@ -130,5 +74,5 @@ func (d DerivedFeatures) AppendVector(dst []float64) []float64 {
 	)
 }
 
-// NumDerived is the length of DerivedFeatures.Vector.
+// NumDerived is the number of values AppendVector appends.
 const NumDerived = 8

@@ -20,41 +20,6 @@ func sample() Snapshot {
 	}
 }
 
-func TestTableIHasNineEntries(t *testing.T) {
-	names := TableI()
-	if len(names) != 9 {
-		t.Fatalf("Table I must list 9 counters, got %d", len(names))
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate counter %q", n)
-		}
-		seen[n] = true
-	}
-}
-
-func TestVectorRoundTrip(t *testing.T) {
-	s := sample()
-	v := s.Vector()
-	if len(v) != len(TableI()) {
-		t.Fatalf("vector length %d != Table I length %d", len(v), len(TableI()))
-	}
-	back, err := FromVector(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != s {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, s)
-	}
-}
-
-func TestFromVectorWrongLength(t *testing.T) {
-	if _, err := FromVector(make([]float64, 5)); err == nil {
-		t.Fatal("expected error for wrong length")
-	}
-}
-
 func TestDerived(t *testing.T) {
 	d := sample().Derived()
 	if math.Abs(d.IPC-100.0/150.0) > 1e-12 {
@@ -66,8 +31,8 @@ func TestDerived(t *testing.T) {
 	if math.Abs(d.MemPerInstr-0.15) > 1e-12 {
 		t.Fatalf("MemPerInstr = %v", d.MemPerInstr)
 	}
-	if len(d.Vector()) != NumDerived {
-		t.Fatalf("derived vector length %d != NumDerived", len(d.Vector()))
+	if len(d.AppendVector(nil)) != NumDerived {
+		t.Fatalf("derived vector length %d != NumDerived", len(d.AppendVector(nil)))
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"socrm/internal/control"
 	"socrm/internal/gpu"
 	"socrm/internal/memo"
 	"socrm/internal/nmpc"
@@ -188,44 +187,4 @@ func CadenceAblation(seed int64, periods []int, workers int, cache *memo.Cache) 
 		}
 	})
 	return out, nil
-}
-
-// ThermalPoint is one row of the thermal-condition study.
-type ThermalPoint struct {
-	TempC      float64
-	AvgSavings float64
-}
-
-// ThermalConditionStudy repeats the Figure 5 average at several platform
-// temperatures, checking the paper's claim that "the energy savings are
-// consistent at different platform thermal conditions". The temperature
-// loop stays serial — each Fig5 call already spreads its ten titles over
-// the pool, so nesting another pool level would only oversubscribe.
-func ThermalConditionStudy(seed int64, temps []float64, workers int) ([]ThermalPoint, error) {
-	out := make([]ThermalPoint, 0, len(temps))
-	for _, tc := range temps {
-		opt := DefaultFig5Options()
-		opt.Seed = seed
-		opt.Temp = tc
-		opt.Workers = workers
-		res, err := Fig5(opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ThermalPoint{TempC: tc, AvgSavings: res.Average.GPUSavings})
-	}
-	return out, nil
-}
-
-// PolicyEnergy runs an arbitrary decider over the Figure 3 sequence and
-// returns its energy normalized by the Oracle — used by the governor
-// comparison in the extended benchmarks.
-func (s *Study) PolicyEnergy(d control.Decider) float64 {
-	seq := workload.NewSequence(append(append([]workload.Application{}, s.Cortex...), s.Parsec...)...)
-	var orcE float64
-	for _, app := range seq.Apps {
-		orcE += s.OracleEnergy(app.Name)
-	}
-	run := control.Run(s.P, seq, d, s.defaultStart())
-	return run.Energy / orcE
 }

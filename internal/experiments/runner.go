@@ -20,14 +20,6 @@ type Job[T any] struct {
 	Input T
 }
 
-// Result pairs a job's output with the job's index so callers can
-// reassemble input order no matter when each job finished.
-type Result[R any] struct {
-	Index  int
-	Output R
-	Err    error
-}
-
 // normWorkers resolves a worker-count request: n <= 0 means one worker
 // per available CPU, and there is never a point in more workers than jobs.
 func normWorkers(n, jobs int) int {

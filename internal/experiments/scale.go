@@ -43,16 +43,6 @@ type ScaleOptions struct {
 	Cache *memo.Cache
 }
 
-// DefaultScaleOptions is the ">=10x the paper on both axes" configuration.
-func DefaultScaleOptions() ScaleOptions {
-	return ScaleOptions{
-		Seed:          42,
-		SnippetFactor: 10,
-		FreqStepMHz:   25,
-		Objectives:    []string{oracle.ObjEnergy, oracle.ObjEDP},
-	}
-}
-
 // ScaleObjective summarizes one objective's labeling pass.
 type ScaleObjective struct {
 	Objective   string

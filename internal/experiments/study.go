@@ -40,9 +40,6 @@ type Options struct {
 // workers returns the study's worker-pool bound (0 = GOMAXPROCS).
 func (s *Study) workers() int { return s.Opt.Workers }
 
-// DefaultOptions returns the paper-scale configuration.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // Study holds the shared expensive assets of the CPU-side experiments:
 // the platform, the Oracle labels of all sixteen applications, and the
 // offline-trained IL policy.

@@ -98,9 +98,6 @@ func NewIntelGen9() *Device {
 	return d
 }
 
-// NumFreqs returns the number of GPU OPPs.
-func (d *Device) NumFreqs() int { return len(d.OPPs) }
-
 // MaxState returns the maximum-capacity state.
 func (d *Device) MaxState() State { return State{FreqIdx: len(d.OPPs) - 1, Slices: d.MaxSlices} }
 

@@ -10,8 +10,8 @@ import (
 
 func TestOPPTable(t *testing.T) {
 	d := NewIntelGen9()
-	if d.NumFreqs() != 17 {
-		t.Fatalf("OPP count %d, want 17 (300-1100 MHz step 50)", d.NumFreqs())
+	if len(d.OPPs) != 17 {
+		t.Fatalf("OPP count %d, want 17 (300-1100 MHz step 50)", len(d.OPPs))
 	}
 	// Voltage floor below 500 MHz, monotone above.
 	for _, o := range d.OPPs {
@@ -108,7 +108,7 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 	d := NewIntelGen9()
 	for s := 1; s <= 3; s++ {
 		prev := 0.0
-		for f := 0; f < d.NumFreqs(); f++ {
+		for f := 0; f < len(d.OPPs); f++ {
 			p := d.Power(State{FreqIdx: f, Slices: s})
 			if p <= prev {
 				t.Fatalf("power not monotone at f=%d s=%d", f, s)

@@ -17,7 +17,7 @@ import (
 // features).
 type Dataset struct {
 	X [][]float64 // control.State features
-	Y [][]float64 // soc.Platform.Features of the Oracle configuration
+	Y [][]float64 // soc.Platform.AppendFeatures of the Oracle configuration
 }
 
 // BuildDataset reproduces the offline data collection of Section IV-A1:

@@ -99,10 +99,6 @@ func (o *OnlineIL) Name() string { return "online-il" }
 // calls may return different snapshots as background retrains publish.
 func (o *OnlineIL) Policy() *MLPPolicy { return o.pol.Load() }
 
-// SwapPolicy atomically publishes a new policy snapshot for the decide
-// path. The previous snapshot keeps serving any in-flight decision.
-func (o *OnlineIL) SwapPolicy(p *MLPPolicy) { o.pol.Store(p) }
-
 // Trainer returns the learner's training side.
 func (o *OnlineIL) Trainer() Trainer { return o.trainer }
 

@@ -4,11 +4,7 @@
 // operations allocate their results unless an In-place variant is provided.
 package mathx
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -22,22 +18,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mathx: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFrom builds a matrix from a slice of rows. All rows must have the
-// same length.
-func NewMatrixFrom(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("mathx: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
 }
 
 // Identity returns the n-by-n identity matrix.
@@ -65,37 +45,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] += b.Data[i]
-	}
-	return c
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] -= b.Data[i]
-	}
-	return c
-}
-
 // Scale returns s*m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	c := m.Clone()
@@ -103,34 +52,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		c.Data[i] *= s
 	}
 	return c
-}
-
-// Mul returns the matrix product m*b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mathx: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	c := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Row(i)
-		crow := c.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mrow[k]
-			if a == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := 0; j < b.Cols; j++ {
-				crow[j] += a * brow[j]
-			}
-		}
-	}
-	return c
-}
-
-// MulVec returns the matrix-vector product m*x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	return m.MulVecInto(make([]float64, m.Rows), x)
 }
 
 // MulVecInto computes dst = m*x without allocating and returns dst.
@@ -146,146 +67,4 @@ func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 		dst[i] = Dot(m.Row(i), x)
 	}
 	return dst
-}
-
-func checkSameShape(a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("mathx: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-}
-
-// ErrSingular is returned when a linear system has no unique solution.
-var ErrSingular = errors.New("mathx: singular matrix")
-
-// Solve solves the linear system a*x = b by Gaussian elimination with
-// partial pivoting. a and b are not modified.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("mathx: solve needs square system, got %dx%d with rhs %d", a.Rows, a.Cols, len(b))
-	}
-	// Augmented working copies.
-	w := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Pivot selection.
-		p, best := col, math.Abs(w.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(w.At(r, col)); v > best {
-				p, best = r, v
-			}
-		}
-		if best < 1e-14 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			wp, wc := w.Row(p), w.Row(col)
-			for j := 0; j < n; j++ {
-				wp[j], wc[j] = wc[j], wp[j]
-			}
-			x[p], x[col] = x[col], x[p]
-		}
-		piv := w.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := w.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			wr, wc := w.Row(r), w.Row(col)
-			for j := col; j < n; j++ {
-				wr[j] -= f * wc[j]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		row := w.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x, nil
-}
-
-// Inverse returns a^-1 via column-by-column solves.
-func Inverse(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("mathx: inverse needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for k := range e {
-			e[k] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// Cholesky returns the lower-triangular L with a = L*Lᵀ. a must be
-// symmetric positive definite.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("mathx: cholesky needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, errors.New("mathx: matrix not positive definite")
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SpectralRadius estimates the dominant eigenvalue magnitude of a square
-// matrix by power iteration. It is used for thermal-stability analysis.
-func SpectralRadius(a *Matrix, iters int) float64 {
-	n := a.Rows
-	if n == 0 {
-		return 0
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(n))
-	}
-	lambda := 0.0
-	for it := 0; it < iters; it++ {
-		w := a.MulVec(v)
-		norm := Norm2(w)
-		if norm == 0 {
-			return 0
-		}
-		for i := range w {
-			w[i] /= norm
-		}
-		// Rayleigh quotient on the normalized iterate.
-		aw := a.MulVec(w)
-		lambda = math.Abs(Dot(w, aw))
-		v = w
-	}
-	return lambda
 }

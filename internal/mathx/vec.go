@@ -15,11 +15,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
-}
-
 // AxpyInPlace computes y += a*x in place.
 func AxpyInPlace(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -28,39 +23,6 @@ func AxpyInPlace(a float64, x, y []float64) {
 	for i := range x {
 		y[i] += a * x[i]
 	}
-}
-
-// ScaleVec returns a*x as a new slice.
-func ScaleVec(a float64, x []float64) []float64 {
-	y := make([]float64, len(x))
-	for i := range x {
-		y[i] = a * x[i]
-	}
-	return y
-}
-
-// AddVec returns x + y as a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mathx: add length mismatch")
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] + y[i]
-	}
-	return z
-}
-
-// SubVec returns x - y as a new slice.
-func SubVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mathx: sub length mismatch")
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
 }
 
 // Mean returns the arithmetic mean of x, or 0 for an empty slice.
@@ -101,79 +63,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// ClampInt limits v to [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// MAPE returns the mean absolute percentage error between predictions and
-// targets, skipping targets that are exactly zero.
-func MAPE(pred, target []float64) float64 {
-	if len(pred) != len(target) {
-		panic("mathx: mape length mismatch")
-	}
-	s, n := 0.0, 0
-	for i := range pred {
-		if target[i] == 0 {
-			continue
-		}
-		s += math.Abs((pred[i] - target[i]) / target[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// RMSE returns the root-mean-square error between predictions and targets.
-func RMSE(pred, target []float64) float64 {
-	if len(pred) != len(target) {
-		panic("mathx: rmse length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - target[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
 }

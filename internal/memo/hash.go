@@ -74,23 +74,8 @@ func fmix64(v uint64) uint64 {
 	return v
 }
 
-// U64 folds one unsigned word.
-func (h *Hasher) U64(v uint64) { h.mix(v) }
-
-// I64 folds one signed word.
-func (h *Hasher) I64(v int64) { h.mix(uint64(v)) }
-
 // Int folds one int.
 func (h *Hasher) Int(v int) { h.mix(uint64(int64(v))) }
-
-// Bool folds one bool.
-func (h *Hasher) Bool(v bool) {
-	if v {
-		h.mix(1)
-	} else {
-		h.mix(0)
-	}
-}
 
 // F64 folds the IEEE-754 bits of one float; distinct NaN payloads hash
 // differently, which is fine — experiment inputs never carry NaNs.

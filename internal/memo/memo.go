@@ -243,16 +243,6 @@ func (c *Cache) fill(k Key, codec Codec, compute func() (any, error)) (any, int6
 	return v, int64(len(payload)), nil
 }
 
-// Get is the typed wrapper over Do.
-func Get[T any](c *Cache, key Key, codec Codec, compute func() (T, error)) (T, error) {
-	v, err := c.Do(key, codec, func() (any, error) { return compute() })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
-}
-
 // Stats is a point-in-time snapshot of the cache counters, independent of
 // the Prometheus registry so CLIs can print it without scraping.
 type Stats struct {

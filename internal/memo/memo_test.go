@@ -380,11 +380,3 @@ func TestConcurrentWritersSameDir(t *testing.T) {
 		}
 	}
 }
-
-func TestGetTyped(t *testing.T) {
-	c := mustCache(t, Options{Version: "t"})
-	v, err := Get(c, keyOf("typed"), f64sCodec{}, func() ([]float64, error) { return []float64{5}, nil })
-	if err != nil || v[0] != 5 {
-		t.Fatalf("Get: v=%v err=%v", v, err)
-	}
-}

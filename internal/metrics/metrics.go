@@ -147,34 +147,6 @@ func PlotASCII(w io.Writer, title string, series []Series, width, height int) {
 	fmt.Fprintln(w)
 }
 
-// BarChart renders a horizontal bar chart of labeled values.
-func BarChart(w io.Writer, title string, labels []string, values []float64, maxWidth int) {
-	if maxWidth < 10 {
-		maxWidth = 40
-	}
-	fmt.Fprintln(w, title)
-	maxV := 0.0
-	maxL := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	for i, v := range values {
-		n := int(v / maxV * float64(maxWidth))
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(w, "%s %s %.3f\n", pad(labels[i], maxL), strings.Repeat("█", n), v)
-	}
-}
-
 func minF(a, b float64) float64 {
 	if a < b {
 		return a

@@ -69,17 +69,3 @@ func TestPlotASCIIConstantSeries(t *testing.T) {
 		t.Fatal("no output")
 	}
 }
-
-func TestBarChart(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart(&buf, "savings", []string{"a", "longer"}, []float64{0.5, 1.0}, 20)
-	out := buf.String()
-	if !strings.Contains(out, "longer") {
-		t.Fatal("label missing")
-	}
-	// The larger value gets the longer bar.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if strings.Count(lines[1], "█") <= strings.Count(lines[0], "█")/2 {
-		t.Fatalf("bar lengths not proportional:\n%s", out)
-	}
-}

@@ -252,7 +252,9 @@ func (r *Registry) Meter(name, help string) *Meter {
 }
 
 // WriteProm renders every metric in the Prometheus text exposition format,
-// sorted by name.
+// sorted by name. A name may carry labels ("family{k=\"v\"}"); HELP and
+// TYPE then name the bare family, once for all its samples, which sort
+// together because each begins with the family name and "{".
 func (r *Registry) WriteProm(w io.Writer) {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.items))
@@ -263,13 +265,18 @@ func (r *Registry) WriteProm(w io.Writer) {
 	}
 	r.mu.Unlock()
 	sort.Strings(names)
+	prevFamily := ""
 	for _, name := range names {
 		it := items[name]
 		kind := it.kind
 		if kind == "meter" {
 			kind = "counter"
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, it.help, name, kind)
+		family, _, _ := strings.Cut(name, "{")
+		if family != prevFamily {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", family, it.help, family, kind)
+			prevFamily = family
+		}
 		switch it.kind {
 		case "counter":
 			fmt.Fprintf(w, "%s %g\n", name, it.c.Value())

@@ -121,3 +121,26 @@ func TestWritePromFormat(t *testing.T) {
 		}
 	}
 }
+
+func TestWritePromLabeledFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge(`app_backend_sessions{backend="a"}`, "Sessions per backend.").Set(1)
+	r.Gauge(`app_backend_sessions{backend="b"}`, "Sessions per backend.").Set(2)
+	r.Gauge("app_backend_sessions_max", "Most sessions on one backend.").Set(2)
+	var sb strings.Builder
+	r.WriteProm(&sb)
+	out := sb.String()
+	want := `# HELP app_backend_sessions Sessions per backend.
+# TYPE app_backend_sessions gauge
+app_backend_sessions{backend="a"} 1
+app_backend_sessions{backend="b"} 2
+`
+	if !strings.Contains(out, want) {
+		t.Fatalf("labeled family not rendered as one group under its bare name:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "#") && strings.Contains(line, "{") {
+			t.Fatalf("HELP/TYPE line names a labeled sample: %q", line)
+		}
+	}
+}

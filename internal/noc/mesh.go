@@ -82,21 +82,6 @@ func (m *Mesh) NextHop(cur, dst int) (d Direction, next int, ok bool) {
 	return 0, cur, false
 }
 
-// Route returns the channel ids a packet from src to dst traverses.
-func (m *Mesh) Route(src, dst int) []int {
-	var chans []int
-	cur := src
-	for cur != dst {
-		d, next, ok := m.NextHop(cur, dst)
-		if !ok {
-			break
-		}
-		chans = append(chans, m.ChannelID(cur, d))
-		cur = next
-	}
-	return chans
-}
-
 // Hops returns the Manhattan distance between two nodes.
 func (m *Mesh) Hops(src, dst int) int {
 	sx, sy := m.XY(src)

@@ -55,10 +55,11 @@ func (o *Oracle) labelKey(app workload.Application) memo.Key {
 	return h.Sum()
 }
 
-// maxCachedLabels bounds a decoded label count; a corrupt length prefix
-// must not provoke a giant allocation before the CRC-validated payload
-// inevitably under-runs.
-const maxCachedLabels = 1 << 22
+// labelBytes is the encoded size of one label: four int knobs and twelve
+// float64s, eight bytes each. A decoded label count is bounded by the bytes
+// left for it, so a hostile length prefix cannot provoke an allocation the
+// payload does not back (a disk entry's CRC is no authenticity check).
+const labelBytes = 16 * 8
 
 // labelCodec round-trips []Label through snap: per label the four config
 // knobs, the three result scalars and the nine Table I counters. All
@@ -96,7 +97,7 @@ func (labelCodec) Decode(d *snap.Decoder) (any, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > maxCachedLabels {
+	if n < 0 || n > d.Remaining()/labelBytes {
 		return nil, fmt.Errorf("oracle: cached label count %d out of range", n)
 	}
 	labels := make([]Label, n)

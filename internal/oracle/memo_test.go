@@ -1,10 +1,14 @@
 package oracle
 
 import (
+	"bytes"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"socrm/internal/memo"
+	"socrm/internal/snap"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -102,4 +106,41 @@ func TestNewNamedPanicsOnUnknownObjective(t *testing.T) {
 		}
 	}()
 	NewNamed(soc.NewXU3(), "latency")
+}
+
+// FuzzLabelCodec feeds arbitrary payloads to the label decoder, as a memo
+// disk entry from a shared cache directory would. Decoding never panics and
+// never allocates more than the payload can back; a payload the cache would
+// accept (no error, no bytes left over) re-encodes to the same bytes. Seeds
+// live in testdata/fuzz/FuzzLabelCodec.
+func FuzzLabelCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// TotalAlloc is process-wide, so take the least of three decodes: the
+		// fuzzing engine's own goroutines allocate now and then, the decoder
+		// the same amount every time.
+		var v any
+		var err error
+		var left int
+		alloc := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d := snap.NewDecoder(data)
+			v, err = labelCodec{}.Decode(d)
+			left = d.Remaining()
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		if alloc > uint64(16*len(data)+4096) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil || left != 0 {
+			return
+		}
+		var e snap.Encoder
+		labelCodec{}.Encode(&e, v)
+		if !bytes.Equal(e.Bytes(), data) {
+			t.Fatalf("re-encoded labels differ: %d bytes from %d", len(e.Bytes()), len(data))
+		}
+	})
 }

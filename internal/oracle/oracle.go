@@ -53,20 +53,11 @@ func New(p *soc.Platform, obj Objective) *Oracle {
 // Best sweeps the full configuration space for one snippet and returns the
 // optimal configuration with its execution result.
 func (o *Oracle) Best(s workload.Snippet) (soc.Config, soc.Result) {
-	bestCfg := o.configs[0]
-	bestRes := o.P.Execute(s, bestCfg)
-	bestScore := o.Obj(bestRes)
-	for _, c := range o.configs[1:] {
-		r := o.P.Execute(s, c)
-		if sc := o.Obj(r); sc < bestScore {
-			bestScore, bestCfg, bestRes = sc, c, r
-		}
-	}
-	return bestCfg, bestRes
+	return o.bestOf(s, o.configs)
 }
 
-// BestOf restricts the sweep to the given candidate set.
-func (o *Oracle) BestOf(s workload.Snippet, candidates []soc.Config) (soc.Config, soc.Result) {
+// bestOf sweeps the given candidate set; the first of equal optima wins.
+func (o *Oracle) bestOf(s workload.Snippet, candidates []soc.Config) (soc.Config, soc.Result) {
 	bestCfg := candidates[0]
 	bestRes := o.P.Execute(s, bestCfg)
 	bestScore := o.Obj(bestRes)
@@ -77,40 +68,6 @@ func (o *Oracle) BestOf(s workload.Snippet, candidates []soc.Config) (soc.Config
 		}
 	}
 	return bestCfg, bestRes
-}
-
-// TopK returns the k best configurations for a snippet, used to prune the
-// dynamic-programming search over sequences.
-func (o *Oracle) TopK(s workload.Snippet, k int) []soc.Config {
-	type scored struct {
-		cfg   soc.Config
-		score float64
-	}
-	// Keep a simple insertion-sorted window of size k; the config count
-	// dominates, k is small.
-	best := make([]scored, 0, k)
-	for _, c := range o.configs {
-		sc := o.Obj(o.P.Execute(s, c))
-		if len(best) < k {
-			best = append(best, scored{c, sc})
-			for i := len(best) - 1; i > 0 && best[i-1].score > best[i].score; i-- {
-				best[i-1], best[i] = best[i], best[i-1]
-			}
-			continue
-		}
-		if sc >= best[k-1].score {
-			continue
-		}
-		best[k-1] = scored{c, sc}
-		for i := k - 1; i > 0 && best[i-1].score > best[i].score; i-- {
-			best[i-1], best[i] = best[i], best[i-1]
-		}
-	}
-	out := make([]soc.Config, len(best))
-	for i, b := range best {
-		out[i] = b.cfg
-	}
-	return out
 }
 
 // Label is the Oracle's answer for one snippet.
@@ -182,14 +139,4 @@ func (o *Oracle) labelAppDirect(app workload.Application, workers int) []Label {
 	}
 	wg.Wait()
 	return labels
-}
-
-// AppEnergy returns the Oracle's total energy for an application: the sum
-// of per-snippet optima (the normalizer of Table II and Figure 4).
-func (o *Oracle) AppEnergy(app workload.Application) float64 {
-	total := 0.0
-	for _, l := range o.LabelApp(app) {
-		total += l.Res.Energy
-	}
-	return total
 }

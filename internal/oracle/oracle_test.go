@@ -35,31 +35,9 @@ func TestBestOfSubset(t *testing.T) {
 		{LittleFreqIdx: 0, BigFreqIdx: 0, NLittle: 1, NBig: 0},
 		{LittleFreqIdx: 12, BigFreqIdx: 18, NLittle: 4, NBig: 4},
 	}
-	cfg, _ := o.BestOf(s, cands)
+	cfg, _ := o.bestOf(s, cands)
 	if cfg != cands[0] && cfg != cands[1] {
-		t.Fatalf("BestOf returned a config outside the candidate set: %v", cfg)
-	}
-}
-
-func TestTopKSortedAndConsistent(t *testing.T) {
-	p := soc.NewXU3()
-	o := New(p, Energy)
-	s := testSnippet()
-	top := o.TopK(s, 5)
-	if len(top) != 5 {
-		t.Fatalf("TopK returned %d configs", len(top))
-	}
-	best, _ := o.Best(s)
-	if top[0] != best {
-		t.Fatalf("TopK[0] = %v, Best = %v", top[0], best)
-	}
-	prev := -1.0
-	for _, c := range top {
-		e := p.Execute(s, c).Energy
-		if e < prev {
-			t.Fatal("TopK not sorted by objective")
-		}
-		prev = e
+		t.Fatalf("bestOf returned a config outside the candidate set: %v", cfg)
 	}
 }
 
@@ -87,69 +65,5 @@ func TestEDPPrefersFasterConfigs(t *testing.T) {
 	_, dRes := New(p, EDP).Best(s)
 	if dRes.Time > eRes.Time {
 		t.Fatalf("EDP optimum (%vs) should not be slower than energy optimum (%vs)", dRes.Time, eRes.Time)
-	}
-}
-
-func TestAppEnergyIsSumOfLabels(t *testing.T) {
-	p := soc.NewXU3()
-	o := New(p, Energy)
-	app := workload.MiBench(1)[1]
-	app.Snippets = app.Snippets[:4]
-	var want float64
-	for _, l := range o.LabelApp(app) {
-		want += l.Res.Energy
-	}
-	if got := o.AppEnergy(app); got != want {
-		t.Fatalf("AppEnergy = %v, want %v", got, want)
-	}
-}
-
-func TestSwitchCost(t *testing.T) {
-	sc := SwitchCost{FixedJ: 1e-3, PerStepJ: 1e-4}
-	a := soc.Config{LittleFreqIdx: 2, BigFreqIdx: 3, NLittle: 1, NBig: 1}
-	if got := sc.Cost(a, a); got != 0 {
-		t.Fatalf("no-switch cost = %v", got)
-	}
-	b := a
-	b.BigFreqIdx = 6
-	if got := sc.Cost(a, b); got != 1e-3+3e-4 {
-		t.Fatalf("switch cost = %v", got)
-	}
-}
-
-func TestPlanSequenceBeatGreedyUnderSwitchCost(t *testing.T) {
-	p := soc.NewXU3()
-	o := New(p, Energy)
-	app := workload.MiBench(2)[2]
-	app.Snippets = app.Snippets[:12]
-	sc := SwitchCost{FixedJ: 0.05, PerStepJ: 0.01} // deliberately heavy
-
-	plan := o.PlanSequence(app, sc, 6)
-	if len(plan.Configs) != 12 {
-		t.Fatalf("plan length %d", len(plan.Configs))
-	}
-	// Greedy per-snippet optima with the same switch costs applied.
-	var greedy float64
-	var prev *soc.Config
-	for i, l := range o.LabelApp(app) {
-		greedy += l.Res.Energy
-		if prev != nil {
-			greedy += sc.Cost(*prev, l.Cfg)
-		}
-		cfg := l.Cfg
-		prev = &cfg
-		_ = i
-	}
-	if plan.Energy > greedy+1e-9 {
-		t.Fatalf("DP plan (%v) must not lose to greedy (%v)", plan.Energy, greedy)
-	}
-}
-
-func TestPlanSequenceEmptyApp(t *testing.T) {
-	p := soc.NewXU3()
-	o := New(p, Energy)
-	plan := o.PlanSequence(workload.Application{}, SwitchCost{}, 3)
-	if len(plan.Configs) != 0 || plan.Energy != 0 {
-		t.Fatalf("empty plan = %+v", plan)
 	}
 }

@@ -146,23 +146,3 @@ func (d *DQN) train() {
 		d.Net.TrainStep(tr.s, target, d.LR, 0)
 	}
 }
-
-// Pretrain runs offline episodes against a simulator-backed environment,
-// mirroring the design-time training both policies receive before the
-// Figure 3 sequence. env executes a configuration for the current snippet
-// and returns the resulting state and result; done signals the end of an
-// episode.
-func (d *DQN) Pretrain(episodes int, reset func() control.State, step func(soc.Config) (control.State, soc.Result, bool)) {
-	for e := 0; e < episodes; e++ {
-		st := reset()
-		for {
-			cfg := d.Decide(st)
-			next, res, done := step(cfg)
-			d.Observe(st, cfg, res, next)
-			st = next
-			if done {
-				break
-			}
-		}
-	}
-}

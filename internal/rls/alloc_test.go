@@ -47,8 +47,8 @@ func TestSTAFFUpdateAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("STAFF.Update allocates %.1f objects per call, want 0", avg)
 	}
-	if s.Samples() < 500 {
-		t.Fatalf("updates did not run: %d samples", s.Samples())
+	if s.rls.Samples() < 500 {
+		t.Fatalf("updates did not run: %d samples", s.rls.Samples())
 	}
 }
 

@@ -69,16 +69,6 @@ func NewSTAFF(dim int, delta float64) *STAFF {
 // Dim returns the feature dimension.
 func (s *STAFF) Dim() int { return s.rls.Dim() }
 
-// Samples returns the number of updates performed.
-func (s *STAFF) Samples() int { return s.rls.Samples() }
-
-// Lambda returns the current forgetting factor.
-func (s *STAFF) Lambda() float64 { return s.rls.Lambda }
-
-// Weights exposes the underlying weight vector (masked features keep their
-// last value).
-func (s *STAFF) Weights() []float64 { return s.rls.W }
-
 // masked returns x with inactive features zeroed, in persistent scratch:
 // the underlying RLS reads the vector within the call and never retains
 // it, so one buffer serves every Predict/Update.
@@ -162,15 +152,4 @@ func (s *STAFF) reselect() {
 	for _, k := range idx[:keep] {
 		s.Mask[k] = true
 	}
-}
-
-// ActiveFeatures returns the number of currently unmasked features.
-func (s *STAFF) ActiveFeatures() int {
-	n := 0
-	for _, m := range s.Mask {
-		if m {
-			n++
-		}
-	}
-	return n
 }

@@ -30,7 +30,7 @@ func TestSTAFFLambdaAdapts(t *testing.T) {
 		x := []float64{1, rng.NormFloat64()}
 		s.Update(x, 2+0.5*x[1])
 	}
-	steady := s.Lambda()
+	steady := s.rls.Lambda
 	if steady < 0.99 {
 		t.Fatalf("steady-state lambda %v should approach LambdaMax", steady)
 	}
@@ -39,7 +39,7 @@ func TestSTAFFLambdaAdapts(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		x := []float64{1, rng.NormFloat64()}
 		s.Update(x, 20-3*x[1])
-		if s.Lambda() < steady-0.01 {
+		if s.rls.Lambda < steady-0.01 {
 			dropped = true
 		}
 	}
@@ -65,7 +65,13 @@ func TestSTAFFFeatureSelection(t *testing.T) {
 	if !s.Mask[0] || !s.Mask[1] {
 		t.Fatalf("informative features masked out: %v", s.Mask)
 	}
-	if got := s.ActiveFeatures(); got > 4 {
+	got := 0
+	for _, m := range s.Mask {
+		if m {
+			got++
+		}
+	}
+	if got > 4 {
 		t.Fatalf("active features = %d, want <= 4 with KeepFraction 0.5", got)
 	}
 }

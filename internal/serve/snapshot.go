@@ -444,9 +444,6 @@ func (s *Server) SessionIDs() []string {
 // drain can hand them off one at a time without a stop-the-world.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ---- HTTP layer ----
 
 // handleSnapshot serves GET /v1/sessions/{id}/snapshot: a consistent binary

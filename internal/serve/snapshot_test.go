@@ -241,8 +241,8 @@ func TestDrainGatesAdmission(t *testing.T) {
 
 	srvB, tsB, _ := newTestServer(t, nil)
 	srvB.BeginDrain()
-	if !srvB.Draining() {
-		t.Fatal("Draining() = false after BeginDrain")
+	if !srvB.draining.Load() {
+		t.Fatal("draining = false after BeginDrain")
 	}
 
 	resp, err := tsB.Client().Get(tsB.URL + "/readyz")

@@ -45,12 +45,6 @@ func (c Config) String() string {
 	return fmt.Sprintf("L%d/B%d %dL+%dB", c.LittleFreqIdx, c.BigFreqIdx, c.NLittle, c.NBig)
 }
 
-// Key packs the configuration into a compact comparable value.
-func (c Config) Key() uint32 {
-	return uint32(c.LittleFreqIdx) | uint32(c.BigFreqIdx)<<5 |
-		uint32(c.NLittle)<<10 | uint32(c.NBig)<<13
-}
-
 // Result is the outcome of executing one snippet under one configuration.
 type Result struct {
 	Time     float64 // seconds
@@ -220,16 +214,11 @@ func (p *Platform) InNeighborhood(c, n Config, radius int) bool {
 		n.NBig >= lo.NBig && n.NBig <= hi.NBig
 }
 
-// Features encodes a configuration as normalized policy inputs in [0,1].
-func (p *Platform) Features(c Config) []float64 {
-	return p.AppendFeatures(make([]float64, 0, NumConfigFeatures), c)
-}
-
-// NumConfigFeatures is the length of Features.
+// NumConfigFeatures is the number of values AppendFeatures appends.
 const NumConfigFeatures = 4
 
-// AppendFeatures appends the normalized knob features of c to dst and
-// returns the extended slice — the allocation-free form of Features.
+// AppendFeatures appends the normalized policy inputs of c, each in [0,1],
+// to dst and returns the extended slice.
 func (p *Platform) AppendFeatures(dst []float64, c Config) []float64 {
 	return append(dst,
 		float64(c.LittleFreqIdx)/float64(len(p.LittleOPPs)-1),
@@ -239,7 +228,7 @@ func (p *Platform) AppendFeatures(dst []float64, c Config) []float64 {
 	)
 }
 
-// FromFeatures inverts Features, snapping to the nearest valid knob values.
+// FromFeatures inverts AppendFeatures, snapping to the nearest valid knob values.
 func (p *Platform) FromFeatures(f []float64) Config {
 	if len(f) != 4 {
 		panic("soc: config features must have length 4")

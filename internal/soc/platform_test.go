@@ -53,13 +53,12 @@ func TestOPPTables(t *testing.T) {
 
 func TestConfigKeyUnique(t *testing.T) {
 	p := NewXU3()
-	seen := map[uint32]bool{}
+	seen := map[Config]bool{}
 	for _, c := range p.Configs() {
-		k := c.Key()
-		if seen[k] {
+		if seen[c] {
 			t.Fatalf("duplicate key for %v", c)
 		}
-		seen[k] = true
+		seen[c] = true
 	}
 }
 
@@ -225,7 +224,7 @@ func TestNeighborhood(t *testing.T) {
 // that sweep follows first-seen order.
 func referenceNeighborhood(p *Platform, c Config, radius int) []Config {
 	var out []Config
-	seen := map[uint32]bool{}
+	seen := map[Config]bool{}
 	for dl := -radius; dl <= radius; dl++ {
 		for db := -radius; db <= radius; db++ {
 			for dnl := -radius; dnl <= radius; dnl++ {
@@ -236,8 +235,8 @@ func referenceNeighborhood(p *Platform, c Config, radius int) []Config {
 						NLittle:       c.NLittle + dnl,
 						NBig:          c.NBig + dnb,
 					})
-					if !seen[n.Key()] {
-						seen[n.Key()] = true
+					if !seen[n] {
+						seen[n] = true
 						out = append(out, n)
 					}
 				}
@@ -301,7 +300,7 @@ func TestFeaturesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		c := Config{rng.Intn(13), rng.Intn(19), 1 + rng.Intn(4), rng.Intn(5)}
-		got := p.FromFeatures(p.Features(c))
+		got := p.FromFeatures(p.AppendFeatures(nil, c))
 		if got != c {
 			t.Fatalf("round trip %v -> %v", c, got)
 		}

@@ -86,20 +86,3 @@ func Fit(xs [][]float64, ys []float64, p Params) (*Model, error) {
 	}
 	return m, nil
 }
-
-// SupportFraction reports the fraction of training samples outside the
-// epsilon tube of the fitted model — the analogue of the support-vector
-// count, a useful regularization diagnostic.
-func (m *Model) SupportFraction(xs [][]float64, ys []float64, eps float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for i, x := range xs {
-		r := m.Predict(x) - ys[i]
-		if r > eps || r < -eps {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}

@@ -117,12 +117,3 @@ func TraceByName(name string, fps float64, seed int64) (GraphicsTrace, error) {
 	}
 	return GraphicsTrace{}, fmt.Errorf("workload: unknown graphics trace %q", name)
 }
-
-// TraceNames lists the Figure 5 titles in order.
-func TraceNames() []string {
-	names := make([]string, len(fig5Specs))
-	for i, sp := range fig5Specs {
-		names[i] = sp.name
-	}
-	return names
-}

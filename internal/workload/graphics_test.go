@@ -7,10 +7,9 @@ func TestFig5Traces(t *testing.T) {
 	if len(traces) != 10 {
 		t.Fatalf("Figure 5 has %d titles, want 10", len(traces))
 	}
-	names := TraceNames()
 	for i, tr := range traces {
-		if tr.Name != names[i] {
-			t.Fatalf("trace %d name %q != %q", i, tr.Name, names[i])
+		if tr.Name != fig5Specs[i].name {
+			t.Fatalf("trace %d name %q != %q", i, tr.Name, fig5Specs[i].name)
 		}
 		if tr.TargetFPS != 30 {
 			t.Fatalf("%s: fps %v", tr.Name, tr.TargetFPS)
