@@ -335,10 +335,9 @@ func BenchmarkOnlineILDecision(b *testing.B) {
 }
 
 // benchAggState drives workload traces through an online learner until a
-// decision aggregates (the argmin is interior), returning that state (with
-// an async learner's queue drained); re-deciding it aggregates every time
-// since the models are not updated afterwards. Works for both modes via
-// the Trainer interface.
+// decision aggregates (the argmin is interior), returning that state;
+// re-deciding it aggregates every time since the models are not updated
+// afterwards. Works for both trainer modes.
 func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control.State {
 	b.Helper()
 	p := s.P
@@ -356,9 +355,6 @@ func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control
 			buf, upd := tr.Buffered(), tr.Updates()
 			next := p.Clamp(oil.Decide(st))
 			if tr.Buffered() > buf || tr.Updates() > upd {
-				if at, isAsync := tr.(*il.AsyncTrainer); isAsync {
-					at.Drain()
-				}
 				return st
 			}
 			oil.Models.Update(st)
@@ -408,12 +404,12 @@ func BenchmarkOnlineILDecideSyncRetrain(b *testing.B) {
 func BenchmarkOnlineILDecideAsync(b *testing.B) {
 	s := study(b)
 	oil := s.FreshOnlineIL()
-	tr := oil.AsyncMode(16)
+	tr := oil.AsyncMode()
 	st := benchAggState(b, s, oil)
 	for i := 0; i < 40; i++ {
 		oil.Decide(st) // saturate: steady state is ingest-plus-drop-oldest
 	}
-	if tr.Buffered() != 16 || tr.Dropped() == 0 {
+	if tr.Buffered() != 4*oil.BufferCap || tr.Dropped() == 0 {
 		b.Fatalf("queue not saturated (buffered=%d dropped=%d)", tr.Buffered(), tr.Dropped())
 	}
 	var h metrics.Histogram
@@ -440,7 +436,7 @@ func BenchmarkOnlineILDecideAsync(b *testing.B) {
 func BenchmarkOnlineILDecideDuringSwaps(b *testing.B) {
 	s := study(b)
 	oil := s.FreshOnlineIL()
-	tr := oil.AsyncMode(64)
+	tr := oil.AsyncMode()
 	st := benchAggState(b, s, oil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -588,7 +584,7 @@ func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 		app.Snippets = app.Snippets[:snippets]
 		cfg := soc.Config{LittleFreqIdx: len(p.LittleOPPs) / 2, BigFreqIdx: len(p.BigOPPs) / 2, NLittle: 4, NBig: 2}
 		var prev control.State
-		var tr *il.AsyncTrainer
+		var tr *il.Trainer
 		for pos := 0; ; {
 			var next soc.Config
 			for r := 0; r < records; r++ {
@@ -604,10 +600,14 @@ func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 			}
 			cfg = next
 			if tr == nil && oil.Updates() >= warmRetrains {
-				tr = oil.AsyncMode(oil.BufferCap) // capture the next batch instead of training on it
+				// Capture the next batch instead of training on it: the newest
+				// buffer's worth queued from here on.
+				tr = oil.AsyncMode()
+				tr.Drain()
 			}
 			if tr != nil && tr.Ready() {
-				for _, s := range tr.Drain()[:oil.BufferCap] {
+				batch := tr.Drain()
+				for _, s := range batch[len(batch)-oil.BufferCap:] {
 					x := make([]float64, len(s.X))
 					sr.xs = append(sr.xs, oil.Policy().Scaler.TransformInto(x, s.X[:]))
 					sr.ys = append(sr.ys, append([]float64(nil), s.Y[:]...))

@@ -58,12 +58,12 @@ func TestDecideAllocFree(t *testing.T) {
 // seeks it out, because in async mode aggregation is a fixed-size copy.)
 func TestDecideAsyncAllocFree(t *testing.T) {
 	oil := allocFixture(t)
-	tr := oil.AsyncMode(16)
+	tr := oil.AsyncMode()
 	st := findAggState(t, oil, tr)
 	for i := 0; i < 40; i++ {
 		oil.Decide(st)
 	}
-	if tr.Buffered() != 16 || tr.Dropped() == 0 {
+	if tr.Buffered() != 4*oil.BufferCap || tr.Dropped() == 0 {
 		t.Fatalf("queue not saturated (buffered=%d dropped=%d); the probe must measure the backpressure path",
 			tr.Buffered(), tr.Dropped())
 	}

@@ -12,12 +12,12 @@ import (
 // configurations in a local neighborhood of the current configuration with
 // the adaptive analytical models; the best candidate becomes (a) the
 // executed configuration and (b) the runtime approximation of the Oracle
-// that supervises the policy. Labeled states aggregate through a Trainer:
-// synchronously (the paper's pipeline — the neural policy is re-trained
-// with back-propagation each time the buffer fills, inline in Decide) or
-// asynchronously (AsyncMode — samples queue for a background worker and the
-// retrained policy is published by atomic snapshot swap, so Decide never
-// blocks on training).
+// that supervises the policy. Labeled states aggregate in the learner's
+// Trainer, which re-trains the neural policy with back-propagation each
+// time a buffer's worth has queued: inline in Decide by default (the
+// paper's pipeline), or on a background worker after AsyncMode, which
+// publishes the retrained policy by atomic snapshot swap so Decide never
+// blocks on training. Both modes run the same retrain.
 type OnlineIL struct {
 	P      *soc.Platform
 	Models *OnlineModels
@@ -40,22 +40,22 @@ type OnlineIL struct {
 	// the historical single-learner behaviour.
 	Seed int64
 
-	// pol is the policy snapshot the decide path reads. Synchronous mode
-	// trains it in place (single-goroutine contract, as always); async mode
-	// treats the loaded snapshot as immutable and swaps in freshly trained
-	// clones, so a concurrent Decide either sees the old policy or the new
-	// one, never a half-trained network.
+	// pol is the policy snapshot the decide path reads. An inline trainer
+	// trains it in place (single-goroutine contract, as always); a detached
+	// one treats the loaded snapshot as immutable and swaps in freshly
+	// trained copies, so a concurrent Decide either sees the old policy or
+	// the new one, never a half-trained network.
 	pol     atomic.Pointer[MLPPolicy]
-	trainer Trainer
+	trainer *Trainer
 
 	decisions int
 
 	// Decision-path scratch, reused across calls so a steady-state Decide
 	// allocates nothing: the state feature vector, the aggregation label
 	// and the per-decision model evaluator. Decide was never safe to call
-	// from two goroutines; this keeps that contract load-bearing (async
-	// mode only moves training off the decide goroutine, not decisions
-	// themselves).
+	// from two goroutines; this keeps that contract load-bearing (a
+	// detached trainer only moves training off the decide goroutine, not
+	// decisions themselves).
 	featBuf []float64
 	labBuf  []float64
 	ev      *Evaluator
@@ -88,19 +88,20 @@ func NewOnlineILSeeded(p *soc.Platform, policy *MLPPolicy, models *OnlineModels,
 		Seed:      seed,
 	}
 	o.pol.Store(policy)
-	o.trainer = &syncTrainer{o: o}
+	o.trainer = &Trainer{o: o}
 	return o
 }
 
 // Name implements control.Decider.
 func (o *OnlineIL) Name() string { return "online-il" }
 
-// Policy returns the current policy snapshot. In async mode successive
-// calls may return different snapshots as background retrains publish.
+// Policy returns the current policy snapshot. With a detached trainer
+// successive calls may return different snapshots as background retrains
+// publish.
 func (o *OnlineIL) Policy() *MLPPolicy { return o.pol.Load() }
 
 // Trainer returns the learner's training side.
-func (o *OnlineIL) Trainer() Trainer { return o.trainer }
+func (o *OnlineIL) Trainer() *Trainer { return o.trainer }
 
 // PolicyConfig returns what the policy alone would choose — the quantity
 // whose agreement with the Oracle Figure 3 tracks over time.
@@ -114,9 +115,9 @@ func (o *OnlineIL) PolicyConfig(st control.State) soc.Config {
 // the evaluator sweeps the candidate neighborhood in place (Evaluator.Best)
 // without materializing it, feature vectors and model scratch are reused
 // buffers, and the CPI predictions are memoized per frequency pair.
-// Training happens through the Trainer — inline for the synchronous
-// default, on a background worker in async mode — so this path itself
-// never grows a latency tail beyond the candidate sweep.
+// Training happens through the Trainer — inline by default, on a
+// background worker after AsyncMode, where this path never grows a latency
+// tail beyond the candidate sweep.
 func (o *OnlineIL) Decide(st control.State) soc.Config {
 	o.decisions++
 	polCfg := o.PolicyConfig(st)
@@ -138,7 +139,7 @@ func (o *OnlineIL) Decide(st control.State) soc.Config {
 
 	// Aggregate the model-labeled sample through the trainer (which
 	// retrains when a buffer's worth has accumulated — inline or in the
-	// background depending on the mode). Transitional decisions — where
+	// background depending on its mode). Transitional decisions — where
 	// the candidate argmin sits on the neighborhood boundary, meaning the
 	// true optimum is still outside the search radius — would teach the
 	// policy way-points rather than destinations, so they are not
@@ -152,15 +153,6 @@ func (o *OnlineIL) Decide(st control.State) soc.Config {
 		return polCfg
 	}
 	return best
-}
-
-// growRow extends buf by one row, reviving the storage of a row truncated
-// by a previous retrain cycle when the capacity allows.
-func growRow(buf [][]float64) [][]float64 {
-	if len(buf) < cap(buf) {
-		return buf[:len(buf)+1]
-	}
-	return append(buf, nil)
 }
 
 // interior reports whether best is strictly inside the search neighborhood

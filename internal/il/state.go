@@ -2,6 +2,7 @@ package il
 
 import (
 	"fmt"
+	"math"
 
 	"socrm/internal/control"
 	"socrm/internal/counters"
@@ -132,48 +133,31 @@ func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error)
 	return m, nil
 }
 
-// trainerState is the mode-agnostic wire shape of a Trainer: how many
-// incremental updates have been published (the per-update seed schedule
-// depends on it), how many samples backpressure has shed, and every sample
-// buffered but not yet trained on, oldest first. Both trainer kinds export
-// into it and restore from it, so a session may migrate between a
-// synchronous and an asynchronous backend; same-mode migration is exact.
-func encodeTrainerState(e *snap.Encoder, t Trainer) {
-	switch tr := t.(type) {
-	case *syncTrainer:
-		e.I64(int64(tr.updates))
-		e.U64(tr.dropped)
-		e.U32(uint32(len(tr.bufX)))
-		for i := range tr.bufX {
-			e.F64s(tr.bufX[i])
-			e.F64s(tr.bufY[i])
+// encodeTrainerState writes the trainer's wire shape: how many incremental
+// updates have been published (the per-update seed schedule depends on it),
+// how many samples backpressure has shed, and every sample queued but not
+// yet trained on, oldest first. Inline and detached trainers share it, so a
+// session may migrate between an inline and a detached backend.
+func encodeTrainerState(e *snap.Encoder, t *Trainer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e.I64(t.updates.Load())
+	e.U64(t.dropped)
+	e.U32(uint32(t.n))
+	for i := 0; i < t.n; i++ {
+		j := t.start + i
+		if j >= len(t.ring) {
+			j -= len(t.ring)
 		}
-	case *AsyncTrainer:
-		tr.mu.Lock()
-		e.I64(tr.updates.Load())
-		e.U64(tr.dropped)
-		e.U32(uint32(tr.n))
-		for i := 0; i < tr.n; i++ {
-			j := tr.start + i
-			if j >= len(tr.ring) {
-				j -= len(tr.ring)
-			}
-			e.F64s(tr.ring[j].X[:])
-			e.F64s(tr.ring[j].Y[:])
-		}
-		tr.mu.Unlock()
-	default:
-		// Unknown trainer kinds migrate without buffered experience; the
-		// update count still moves so the seed schedule cannot rewind.
-		e.I64(int64(t.Updates()))
-		e.U64(0)
-		e.U32(0)
+		e.F64s(t.ring[j].X[:])
+		e.F64s(t.ring[j].Y[:])
 	}
 }
 
-// decodeTrainerState restores the wire shape into the learner's current
-// trainer (whatever mode the importing server runs in).
-func decodeTrainerState(d *snap.Decoder, o *OnlineIL) error {
+// decodeTrainerState restores the wire shape into a fresh trainer. The
+// samples are queued without retraining, even a buffer's worth or more,
+// and an envelope queueing more than the ring holds is refused.
+func decodeTrainerState(d *snap.Decoder, t *Trainer) error {
 	updates := d.I64()
 	dropped := d.U64()
 	n := int(d.U32())
@@ -183,44 +167,20 @@ func decodeTrainerState(d *snap.Decoder, o *OnlineIL) error {
 	if updates < 0 {
 		return fmt.Errorf("il: decoded update count %d negative", updates)
 	}
-	var x [control.NumFeatures]float64
-	var y [soc.NumConfigFeatures]float64
-	switch tr := o.trainer.(type) {
-	case *syncTrainer:
-		tr.updates = int(updates)
-		tr.dropped = dropped
-		for i := 0; i < n; i++ {
-			d.F64sInto(x[:])
-			d.F64sInto(y[:])
-			if err := d.Err(); err != nil {
-				return err
-			}
-			// Append directly instead of Ingest: a snapshot buffered count at
-			// or beyond BufferCap must not fire a retrain during import.
-			tr.bufX = growRow(tr.bufX)
-			tr.bufX[len(tr.bufX)-1] = append(tr.bufX[len(tr.bufX)-1][:0], x[:]...)
-			tr.bufY = growRow(tr.bufY)
-			tr.bufY[len(tr.bufY)-1] = append(tr.bufY[len(tr.bufY)-1][:0], y[:]...)
-		}
-	case *AsyncTrainer:
-		tr.updates.Store(updates)
-		for i := 0; i < n; i++ {
-			d.F64sInto(x[:])
-			d.F64sInto(y[:])
-			if err := d.Err(); err != nil {
-				return err
-			}
-			tr.Ingest(x[:], y[:])
-		}
-		// The source's shed count carries over on top of anything Ingest
-		// itself dropped refilling a smaller ring.
-		tr.mu.Lock()
-		tr.dropped += dropped
-		tr.mu.Unlock()
-	default:
-		return fmt.Errorf("il: cannot restore trainer state into %T", o.trainer)
+	if limit := ringBuffers * t.o.BufferCap; n > limit {
+		return fmt.Errorf("il: decoded %d queued samples, the experience queue holds %d", n, limit)
 	}
-	return d.Err()
+	t.updates.Store(updates)
+	t.dropped = dropped
+	for i := 0; i < n; i++ {
+		s := t.slot()
+		d.F64sInto(s.X[:])
+		d.F64sInto(s.Y[:])
+		if err := d.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EncodeStateTo writes the learner's complete state: hyperparameters, the
@@ -240,12 +200,10 @@ func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 	encodeTrainerState(e, o.trainer)
 }
 
-// DecodeOnlineILState reconstructs a learner written by EncodeStateTo.
-// asyncQueueCap selects the importing server's training mode: negative
-// keeps the historical synchronous pipeline (trainer returned nil), zero or
-// positive detaches training (AsyncMode with that queue capacity, 0 =
-// default sizing) and returns the trainer a background worker must drain.
-func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform, asyncQueueCap int) (*OnlineIL, *AsyncTrainer, error) {
+// DecodeOnlineILState reconstructs a learner written by EncodeStateTo, with
+// an inline trainer; a server that trains in the background detaches it
+// with AsyncMode.
+func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	radius := d.Int()
 	bufferCap := d.Int()
 	epochs := d.Int()
@@ -255,19 +213,19 @@ func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform, asyncQueueCap int) (*
 	seed := d.I64()
 	decisions := d.Int()
 	if err := d.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if radius <= 0 || bufferCap <= 0 || epochs < 0 || warmup < 0 || decisions < 0 {
-		return nil, nil, fmt.Errorf("il: decoded hyperparameters invalid (radius %d, buffer %d, epochs %d, warmup %d, decisions %d)",
+	if radius <= 0 || bufferCap <= 0 || bufferCap > math.MaxInt/ringBuffers || epochs < 0 || warmup < 0 || decisions < 0 {
+		return nil, fmt.Errorf("il: decoded hyperparameters invalid (radius %d, buffer %d, epochs %d, warmup %d, decisions %d)",
 			radius, bufferCap, epochs, warmup, decisions)
 	}
 	pol, err := DecodeMLPPolicy(d, p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	models, err := DecodeOnlineModels(d, p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	o := NewOnlineILSeeded(p, pol, models, seed)
 	o.Radius = radius
@@ -277,12 +235,8 @@ func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform, asyncQueueCap int) (*
 	o.Momentum = momentum
 	o.Warmup = warmup
 	o.decisions = decisions
-	var async *AsyncTrainer
-	if asyncQueueCap >= 0 {
-		async = o.AsyncMode(asyncQueueCap)
+	if err := decodeTrainerState(d, o.trainer); err != nil {
+		return nil, err
 	}
-	if err := decodeTrainerState(d, o); err != nil {
-		return nil, nil, err
-	}
-	return o, async, nil
+	return o, nil
 }

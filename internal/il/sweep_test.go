@@ -10,16 +10,12 @@ import (
 	"socrm/internal/workload"
 )
 
-// recTrainer records every ingested sample and never trains, so a learner
-// using it keeps its policy and the test sees exactly what Decide labelled.
-type recTrainer struct{ xs, ys [][]float64 }
-
-func (r *recTrainer) Ingest(x, y []float64) {
-	r.xs = append(r.xs, append([]float64(nil), x...))
-	r.ys = append(r.ys, append([]float64(nil), y...))
+// recorded drains a detached learner's queue into rec after a decision,
+// so the learner keeps its policy, its ring never drops, and the test sees
+// exactly what Decide labelled.
+func recorded(rec []Sample, o *OnlineIL) []Sample {
+	return append(rec, o.Trainer().Drain()...)
 }
-func (r *recTrainer) Updates() int  { return 0 }
-func (r *recTrainer) Buffered() int { return len(r.xs) }
 
 // refDecide is OnlineIL.Decide written over the materialized candidate
 // list: AppendNeighborhood, then one Evaluator.Predict per candidate with
@@ -55,16 +51,18 @@ func refDecide(o *OnlineIL, ev *Evaluator, st control.State) (soc.Config, bool) 
 	return best, tied
 }
 
-func sameBits(a, b [][]float64) bool {
+func sameBits(a, b []Sample) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
+		for j := range a[i].X {
+			if math.Float64bits(a[i].X[j]) != math.Float64bits(b[i].X[j]) {
+				return false
+			}
 		}
-		for j := range a[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+		for j := range a[i].Y {
+			if math.Float64bits(a[i].Y[j]) != math.Float64bits(b[i].Y[j]) {
 				return false
 			}
 		}
@@ -96,8 +94,9 @@ func TestDecideSweepMatchesReference(t *testing.T) {
 	for v, models := range []*OnlineModels{base.Models.Clone(), tieModels, nanModels} {
 		got := NewOnlineIL(p, base.Policy(), models)
 		ref := NewOnlineIL(p, base.Policy(), models)
-		gotRec, refRec := &recTrainer{}, &recTrainer{}
-		got.trainer, ref.trainer = gotRec, refRec
+		got.AsyncMode()
+		ref.AsyncMode()
+		var gotRec, refRec []Sample
 		refEv := models.NewEvaluator()
 		for i := 0; i < 400; i++ {
 			radius := rng.Intn(5)
@@ -117,7 +116,8 @@ func TestDecideSweepMatchesReference(t *testing.T) {
 			if c := got.Decide(st); c != want {
 				t.Fatalf("variant %d decision %d (radius %d, config %+v): Decide = %+v, reference %+v", v, i, radius, cfg, c, want)
 			}
-			if !sameBits(gotRec.xs, refRec.xs) || !sameBits(gotRec.ys, refRec.ys) {
+			gotRec, refRec = recorded(gotRec, got), recorded(refRec, ref)
+			if !sameBits(gotRec, refRec) {
 				t.Fatalf("variant %d decision %d: ingested samples differ from the reference", v, i)
 			}
 			if tied {
@@ -134,7 +134,7 @@ func TestDecideSweepMatchesReference(t *testing.T) {
 				models.Update(stateFor(p, sn, p.Clamp(cfg)))
 			}
 		}
-		aggregated += len(gotRec.xs)
+		aggregated += len(gotRec)
 	}
 	t.Logf("%d tied sweeps, %d suggestions outside the neighbourhood (%d picked), %d samples ingested", ties, outside, polPicked, aggregated)
 	if ties == 0 || outside == 0 || polPicked == 0 || aggregated == 0 {

@@ -8,97 +8,37 @@ import (
 	"socrm/internal/soc"
 )
 
-// Trainer is the training side of an OnlineIL learner. Decide hands every
-// aggregated model-labeled sample to Ingest and otherwise never touches
-// training state, so the learner can run with training inline (syncTrainer,
-// the historical bit-identical behaviour) or detached on a background
-// worker (AsyncTrainer) without the decide path knowing the difference.
-type Trainer interface {
-	// Ingest records one aggregated sample. The slices are borrowed from
-	// the caller's decision scratch and are only valid for the duration of
-	// the call; an implementation must copy what it keeps.
-	Ingest(x, y []float64)
-	// Updates returns how many incremental policy updates have happened.
-	Updates() int
-	// Buffered returns how many ingested samples are waiting for the next
-	// policy update.
-	Buffered() int
-}
-
-// syncTrainer trains inline inside Ingest the moment the aggregation buffer
-// reaches capacity — the paper's original pipeline, kept bit-identical to
-// the pre-split OnlineIL (same buffer layout, same per-update seed
-// schedule) so the experiment goldens pin it.
-type syncTrainer struct {
-	o          *OnlineIL
-	bufX, bufY [][]float64
-	updates    int
-	// dropped is the shed count an envelope from an asynchronous trainer
-	// carried in. A synchronous trainer never drops; it passes the count on
-	// at its next export.
-	dropped uint64
-	// txX is the standardized-features scratch of the retrain, reused so a
-	// buffer fill does not re-derive its input matrix storage (rows keep
-	// their capacity across updates).
-	txX [][]float64
-}
-
-func (t *syncTrainer) Ingest(x, y []float64) {
-	t.bufX = growRow(t.bufX)
-	i := len(t.bufX) - 1
-	t.bufX[i] = append(t.bufX[i][:0], x...)
-	t.bufY = growRow(t.bufY)
-	i = len(t.bufY) - 1
-	t.bufY[i] = append(t.bufY[i][:0], y...)
-	if len(t.bufX) >= t.o.BufferCap {
-		t.train()
-		t.bufX = t.bufX[:0]
-		t.bufY = t.bufY[:0]
-	}
-}
-
-func (t *syncTrainer) train() {
-	o := t.o
-	pol := o.pol.Load()
-	for len(t.txX) < len(t.bufX) {
-		t.txX = growRow(t.txX)
-	}
-	t.txX = t.txX[:len(t.bufX)]
-	for i, row := range t.bufX {
-		if cap(t.txX[i]) < len(row) {
-			t.txX[i] = make([]float64, len(row))
-		}
-		t.txX[i] = pol.Scaler.TransformInto(t.txX[i][:len(row)], row)
-	}
-	t.updates++
-	pol.Net.TrainEpochs(t.txX, t.bufY, o.Epochs, o.LR, o.Momentum, o.Seed+int64(t.updates))
-}
-
-func (t *syncTrainer) Updates() int  { return t.updates }
-func (t *syncTrainer) Buffered() int { return len(t.bufX) }
+// ringBuffers is the experience queue's capacity in aggregation buffers:
+// a learner queues at most ringBuffers*BufferCap samples, and beyond that
+// drops its oldest.
+const ringBuffers = 4
 
 // Sample is one experience-queue slot: the state features the policy saw
 // and the model-labeled target configuration. The arrays are fixed-size so
-// enqueueing is a straight copy into preallocated ring storage — the async
-// decide path stays allocation-free even while the queue churns.
+// enqueueing is a straight copy into the ring — the decide path stays
+// allocation-free even while the queue churns.
 type Sample struct {
 	X [control.NumFeatures]float64
 	Y [soc.NumConfigFeatures]float64
 }
 
-// AsyncTrainer decouples policy training from the decide path. Ingest
-// copies samples into a bounded ring (drop-oldest beyond capacity — the
-// decide path is never blocked and never trains); a background worker
-// drains the ring with Drain and retrains with TrainOn, which trains a
-// clone of the current policy snapshot and atomically publishes it. Decide
-// picks up the new snapshot on its next pol.Load without ever waiting.
-type AsyncTrainer struct {
+// Trainer is the training side of an OnlineIL learner: a bounded queue of
+// aggregated model-labeled samples and the one retrain routine that turns a
+// buffer's worth of them into a policy update. A mode changes only who runs
+// the retrain. Inline (the default, the paper's pipeline), Ingest retrains
+// the live policy in place as soon as a buffer's worth is queued. Detached
+// (AsyncMode), Ingest only queues — it never blocks and never trains — and
+// a background worker runs Drain and TrainOn, which retrain a copy of the
+// policy, momentum included, and publish it. Fed the same samples at the
+// same cadence, both modes produce the same policy bit for bit.
+type Trainer struct {
 	o *OnlineIL
-	// batch is the retrain trigger threshold, captured from BufferCap so
-	// async training fires at the same cadence the synchronous learner
-	// would.
-	batch int
+	// detached is set by AsyncMode before serving; Ingest then never trains.
+	detached bool
 
+	// ring holds n queued samples, oldest at start. Its storage grows on
+	// demand up to ringBuffers aggregation buffers, so a learner only holds
+	// as many slots as it has queued at once.
 	mu      sync.Mutex
 	ring    []Sample
 	start   int
@@ -110,67 +50,81 @@ type AsyncTrainer struct {
 	pending atomic.Int64
 	updates atomic.Int64
 
-	// Worker-side scratch, reused across retrains. Only ever touched by
-	// Drain/TrainOn, which callers must serialize (the serving pool's
-	// per-session scheduled flag guarantees it).
+	// Retrain scratch, reused across retrains. Retrains of one trainer never
+	// overlap: inline ones run on the decide goroutine, detached ones on the
+	// one worker the serving pool's per-session scheduled flag admits.
 	take []Sample
 	txX  [][]float64
 	ys   [][]float64
 }
 
-// AsyncMode detaches training from this learner's decide path and returns
-// the trainer whose queue a background worker must drain (Drain + TrainOn).
-// queueCap bounds the experience ring in samples; <=0 selects four
-// aggregation buffers' worth. Call before serving decisions.
-func (o *OnlineIL) AsyncMode(queueCap int) *AsyncTrainer {
-	if queueCap <= 0 {
-		queueCap = 4 * o.BufferCap
-	}
-	t := &AsyncTrainer{o: o, batch: o.BufferCap, ring: make([]Sample, queueCap)}
-	o.trainer = t
-	return t
+// AsyncMode detaches retraining from this learner's decide path and returns
+// its trainer, whose queue a background worker must drain (Drain +
+// TrainOn). Call before serving decisions.
+func (o *OnlineIL) AsyncMode() *Trainer {
+	o.trainer.detached = true
+	return o.trainer
 }
 
-// Ingest implements Trainer: copy the sample into the ring, dropping the
-// oldest queued sample when full. Constant-time, allocation-free, never
-// trains.
-func (t *AsyncTrainer) Ingest(x, y []float64) {
+// Ingest queues one aggregated sample, dropping the oldest queued sample
+// when the ring is full. The slices are borrowed from the caller's decision
+// scratch and copied. Inline, a buffer's worth of queued samples then
+// retrains the policy; detached, Ingest is constant-time and
+// allocation-free once the ring has grown.
+func (t *Trainer) Ingest(x, y []float64) {
 	t.mu.Lock()
-	var s *Sample
-	if t.n == len(t.ring) {
-		s = &t.ring[t.start]
+	s := t.slot()
+	copy(s.X[:], x)
+	copy(s.Y[:], y)
+	due := !t.detached && t.n >= t.o.BufferCap
+	t.mu.Unlock()
+	if due {
+		t.retrain(t.o.pol.Load(), t.Drain(), nil)
+	}
+}
+
+// slot returns the ring slot the next sample goes to, growing the storage
+// while it is below capacity and reusing the oldest slot, counted as
+// dropped, once the ring is full. The caller holds mu or owns the trainer
+// exclusively.
+func (t *Trainer) slot() *Sample {
+	if t.n >= ringBuffers*t.o.BufferCap {
+		s := &t.ring[t.start]
 		t.start++
 		if t.start == len(t.ring) {
 			t.start = 0
 		}
 		t.dropped++
-	} else {
-		i := t.start + t.n
-		if i >= len(t.ring) {
-			i -= len(t.ring)
-		}
-		s = &t.ring[i]
-		t.n++
-		t.pending.Store(int64(t.n))
+		return s
 	}
-	copy(s.X[:], x)
-	copy(s.Y[:], y)
-	t.mu.Unlock()
+	// Only a full ring drops, so start is 0 while the storage still grows.
+	i := t.start + t.n
+	switch {
+	case i < len(t.ring):
+	case t.start == 0:
+		t.ring = append(t.ring, Sample{})
+	default:
+		i -= len(t.ring)
+	}
+	t.n++
+	t.pending.Store(int64(t.n))
+	return &t.ring[i]
 }
 
-// Updates implements Trainer.
-func (t *AsyncTrainer) Updates() int { return int(t.updates.Load()) }
+// Updates returns how many incremental policy updates have happened.
+func (t *Trainer) Updates() int { return int(t.updates.Load()) }
 
-// Buffered implements Trainer without taking the ring mutex.
-func (t *AsyncTrainer) Buffered() int { return int(t.pending.Load()) }
+// Buffered returns how many samples wait for the next policy update,
+// without taking the ring mutex.
+func (t *Trainer) Buffered() int { return int(t.pending.Load()) }
 
-// Ready reports whether enough samples are queued to justify a retrain —
-// one aggregation buffer's worth, the synchronous learner's cadence.
-func (t *AsyncTrainer) Ready() bool { return t.pending.Load() >= int64(t.batch) }
+// Ready reports whether a buffer's worth of samples is queued — the
+// cadence at which an inline learner retrains.
+func (t *Trainer) Ready() bool { return t.pending.Load() >= int64(t.o.BufferCap) }
 
 // Dropped returns how many samples drop-oldest backpressure has discarded
 // since the last TakeDropped.
-func (t *AsyncTrainer) Dropped() uint64 {
+func (t *Trainer) Dropped() uint64 {
 	t.mu.Lock()
 	d := t.dropped
 	t.mu.Unlock()
@@ -179,7 +133,7 @@ func (t *AsyncTrainer) Dropped() uint64 {
 
 // TakeDropped returns and resets the dropped-sample count, so a metrics
 // accumulator can sum deltas across many trainers without double counting.
-func (t *AsyncTrainer) TakeDropped() uint64 {
+func (t *Trainer) TakeDropped() uint64 {
 	t.mu.Lock()
 	d := t.dropped
 	t.dropped = 0
@@ -189,8 +143,8 @@ func (t *AsyncTrainer) TakeDropped() uint64 {
 
 // Drain moves every queued sample (oldest first) into the trainer's private
 // batch and returns it; the slice is reused and only valid until the next
-// Drain. Worker-side only.
-func (t *AsyncTrainer) Drain() []Sample {
+// Drain. Detached, only the worker calls it.
+func (t *Trainer) Drain() []Sample {
 	t.mu.Lock()
 	if cap(t.take) < t.n {
 		t.take = make([]Sample, t.n)
@@ -209,21 +163,31 @@ func (t *AsyncTrainer) Drain() []Sample {
 	return take
 }
 
-// TrainOn retrains on the drained batch plus optional cross-session extras:
-// it clones the current policy snapshot (Clone reads only the weights,
-// which nothing mutates in async mode, so it is race-free against in-flight
-// Predicts), trains the clone privately and atomically publishes it.
-// Worker-side only; callers must not run two TrainOns concurrently on one
-// trainer.
-func (t *AsyncTrainer) TrainOn(own, extra []Sample) {
-	total := len(own) + len(extra)
-	if total == 0 {
+// TrainOn is the detached retrain: it runs the retrain on a copy of the
+// current policy snapshot that carries the snapshot's momentum, then
+// atomically publishes the copy, so a Decide in flight keeps the old
+// snapshot untouched. extra holds cross-session samples trained after own.
+// A detached learner's snapshot is never trained in place, so copying it
+// races no Predict. Worker-side only; callers must not run two TrainOns
+// concurrently on one trainer.
+func (t *Trainer) TrainOn(own, extra []Sample) {
+	if len(own)+len(extra) == 0 {
 		return
 	}
+	cur := t.o.pol.Load()
+	next := &MLPPolicy{Net: cur.Net.CloneWithMomentum(), Scaler: cur.Scaler, P: cur.P}
+	t.retrain(next, own, extra)
+	t.o.pol.Store(next)
+}
+
+// retrain is the one policy update of both modes: standardize the samples
+// with pol's scaler and train pol on them with the next seed of the update
+// schedule.
+func (t *Trainer) retrain(pol *MLPPolicy, own, extra []Sample) {
 	o := t.o
-	next := o.pol.Load().Clone()
+	total := len(own) + len(extra)
 	for len(t.txX) < total {
-		t.txX = growRow(t.txX)
+		t.txX = append(t.txX, nil)
 		t.ys = append(t.ys, nil)
 	}
 	txX, ys := t.txX[:total], t.ys[:total]
@@ -237,15 +201,9 @@ func (t *AsyncTrainer) TrainOn(own, extra []Sample) {
 		if cap(txX[i]) < len(s.X) {
 			txX[i] = make([]float64, len(s.X))
 		}
-		txX[i] = next.Scaler.TransformInto(txX[i][:len(s.X)], s.X[:])
+		txX[i] = pol.Scaler.TransformInto(txX[i][:len(s.X)], s.X[:])
 		ys[i] = s.Y[:]
 	}
 	u := t.updates.Add(1)
-	next.Net.TrainEpochs(txX, ys, o.Epochs, o.LR, o.Momentum, o.Seed+u)
-	o.pol.Store(next)
+	pol.Net.TrainEpochs(txX, ys, o.Epochs, o.LR, o.Momentum, o.Seed+u)
 }
-
-var (
-	_ Trainer = (*syncTrainer)(nil)
-	_ Trainer = (*AsyncTrainer)(nil)
-)

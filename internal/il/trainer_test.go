@@ -1,12 +1,14 @@
 package il
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
 
 	"socrm/internal/control"
 	"socrm/internal/oracle"
+	"socrm/internal/snap"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -31,7 +33,7 @@ func trainerFixture(t *testing.T) *OnlineIL {
 // returns that state with the queue drained. Because the online models are
 // left untouched afterwards, re-deciding the returned state aggregates
 // again every time — a deterministic ingest scenario for the tests below.
-func findAggState(t *testing.T, oil *OnlineIL, tr *AsyncTrainer) control.State {
+func findAggState(t *testing.T, oil *OnlineIL, tr *Trainer) control.State {
 	t.Helper()
 	p := oil.P
 	for _, app := range shortApps(6) {
@@ -57,7 +59,8 @@ func findAggState(t *testing.T, oil *OnlineIL, tr *AsyncTrainer) control.State {
 func TestAsyncIngestDropOldest(t *testing.T) {
 	p := soc.NewXU3()
 	oil := NewOnlineIL(p, &MLPPolicy{P: p}, NewOnlineModels(p))
-	tr := oil.AsyncMode(4)
+	oil.BufferCap = 1 // a ring of four aggregation buffers: 4 slots
+	tr := oil.AsyncMode()
 	x := make([]float64, control.NumFeatures)
 	y := make([]float64, soc.NumConfigFeatures)
 	for i := 0; i < 10; i++ {
@@ -90,23 +93,33 @@ func TestAsyncIngestDropOldest(t *testing.T) {
 	}
 }
 
-// TestAsyncModeDefaults pins the default queue sizing (four aggregation
-// buffers) and that AsyncMode rebinds the learner's trainer.
+// TestAsyncModeDefaults pins the trainer's modes and queue size: a fresh
+// learner trains inline, AsyncMode detaches the learner's own trainer, and
+// the queue holds four aggregation buffers.
 func TestAsyncModeDefaults(t *testing.T) {
 	p := soc.NewXU3()
 	oil := NewOnlineIL(p, &MLPPolicy{P: p}, NewOnlineModels(p))
-	if _, isSync := oil.Trainer().(*syncTrainer); !isSync {
-		t.Fatalf("fresh learner trainer is %T, want the synchronous default", oil.Trainer())
+	if oil.Trainer().detached {
+		t.Fatal("fresh learner's trainer is detached, want inline")
 	}
-	tr := oil.AsyncMode(0)
-	if oil.Trainer() != Trainer(tr) {
-		t.Fatal("AsyncMode did not rebind the learner's trainer")
-	}
-	if len(tr.ring) != 4*oil.BufferCap {
-		t.Fatalf("default queue capacity = %d, want %d", len(tr.ring), 4*oil.BufferCap)
+	tr := oil.AsyncMode()
+	if tr != oil.Trainer() || !tr.detached {
+		t.Fatal("AsyncMode did not detach the learner's own trainer")
 	}
 	if tr.Ready() {
 		t.Fatal("empty trainer reports Ready")
+	}
+	x := make([]float64, control.NumFeatures)
+	y := make([]float64, soc.NumConfigFeatures)
+	for i := 0; i < 5*oil.BufferCap; i++ {
+		tr.Ingest(x, y)
+	}
+	if tr.Buffered() != 4*oil.BufferCap || tr.Dropped() != uint64(oil.BufferCap) {
+		t.Fatalf("after %d samples: buffered %d, dropped %d; want %d and %d",
+			5*oil.BufferCap, tr.Buffered(), tr.Dropped(), 4*oil.BufferCap, oil.BufferCap)
+	}
+	if !tr.Ready() {
+		t.Fatal("full queue does not report Ready")
 	}
 }
 
@@ -116,7 +129,7 @@ func TestAsyncModeDefaults(t *testing.T) {
 // worker publishes one via Drain/TrainOn.
 func TestAsyncNeverTrainsInline(t *testing.T) {
 	oil := trainerFixture(t)
-	tr := oil.AsyncMode(0)
+	tr := oil.AsyncMode()
 	st := findAggState(t, oil, tr)
 	for i := 0; i < 3*oil.BufferCap && !tr.Ready(); i++ {
 		oil.Decide(st)
@@ -152,7 +165,7 @@ func TestAsyncNeverTrainsInline(t *testing.T) {
 // published policy.
 func TestAsyncCrossSessionExtras(t *testing.T) {
 	oil := trainerFixture(t)
-	tr := oil.AsyncMode(0)
+	tr := oil.AsyncMode()
 	st := findAggState(t, oil, tr)
 	oil.Decide(st)
 	own := tr.Drain()
@@ -181,7 +194,7 @@ func TestAsyncCrossSessionExtras(t *testing.T) {
 // pointer publishes the handoff.
 func TestAsyncDecideConcurrentWithTraining(t *testing.T) {
 	oil := trainerFixture(t)
-	tr := oil.AsyncMode(64)
+	tr := oil.AsyncMode()
 	st := findAggState(t, oil, tr)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -215,5 +228,82 @@ func TestAsyncDecideConcurrentWithTraining(t *testing.T) {
 	}
 	if tr.Buffered() > 0 {
 		tr.TrainOn(tr.Drain(), nil)
+	}
+}
+
+// TestTrainerModesAgree: an inline learner and a detached one whose queue
+// is drained and trained the moment it is Ready, both started from the same
+// policy, models and seed, make the same decisions and after every one hold
+// the same policy (weights, biases and momentum), update count and trainer
+// state, over several retrains. A detached retrain is the inline retrain
+// run on a copy.
+func TestTrainerModesAgree(t *testing.T) {
+	base := trainerFixture(t)
+	p := base.P
+	inline := NewOnlineIL(p, base.Policy().Clone(), base.Models.Clone())
+	detached := NewOnlineIL(p, base.Policy().Clone(), base.Models.Clone())
+	tr := detached.AsyncMode()
+	encode := func(f func(*snap.Encoder)) []byte {
+		var e snap.Encoder
+		f(&e)
+		return e.Bytes()
+	}
+	for _, app := range shortApps(40) {
+		cfg := p.Clamp(soc.Config{LittleFreqIdx: 4, BigFreqIdx: 6, NLittle: 4, NBig: 2})
+		for i, sn := range app.Snippets {
+			st := stateFor(p, sn, cfg)
+			got, want := detached.Decide(st), inline.Decide(st)
+			if tr.Ready() {
+				tr.TrainOn(tr.Drain(), nil)
+			}
+			if got != want {
+				t.Fatalf("%s snippet %d: detached decided %+v, inline %+v", app.Name, i, got, want)
+			}
+			if detached.Updates() != inline.Updates() {
+				t.Fatalf("%s snippet %d: detached at %d updates, inline at %d", app.Name, i, detached.Updates(), inline.Updates())
+			}
+			if !bytes.Equal(encode(detached.Policy().EncodeTo), encode(inline.Policy().EncodeTo)) {
+				t.Fatalf("%s snippet %d: policies differ after %d updates", app.Name, i, inline.Updates())
+			}
+			trainerState := func(o *OnlineIL) func(*snap.Encoder) {
+				return func(e *snap.Encoder) { encodeTrainerState(e, o.trainer) }
+			}
+			if !bytes.Equal(encode(trainerState(detached)), encode(trainerState(inline))) {
+				t.Fatalf("%s snippet %d: trainer states differ", app.Name, i)
+			}
+			detached.Models.Update(st)
+			inline.Models.Update(st)
+			cfg = p.Clamp(want)
+		}
+	}
+	if !bytes.Equal(encode(detached.EncodeStateTo), encode(inline.EncodeStateTo)) {
+		t.Fatal("exported learner states differ")
+	}
+	if inline.Updates() < 3 {
+		t.Fatalf("only %d retrains; the comparison needs at least 3", inline.Updates())
+	}
+	t.Logf("%d retrains, %d samples queued at the end", inline.Updates(), inline.Trainer().Buffered())
+}
+
+// TestDecodeRefusesOverfullQueue: an envelope that queues more samples than
+// the ring of four aggregation buffers holds is refused, not truncated.
+func TestDecodeRefusesOverfullQueue(t *testing.T) {
+	oil := trainerFixture(t)
+	tr := oil.AsyncMode()
+	x := make([]float64, control.NumFeatures)
+	y := make([]float64, soc.NumConfigFeatures)
+	for i := 0; i < 4*oil.BufferCap; i++ {
+		tr.Ingest(x, y)
+	}
+	var full snap.Encoder
+	oil.EncodeStateTo(&full)
+	if _, err := DecodeOnlineILState(snap.NewDecoder(full.Bytes()), oil.P); err != nil {
+		t.Fatalf("full queue refused: %v", err)
+	}
+	oil.BufferCap-- // the same samples now overfill the ring the envelope declares
+	var over snap.Encoder
+	oil.EncodeStateTo(&over)
+	if _, err := DecodeOnlineILState(snap.NewDecoder(over.Bytes()), oil.P); err == nil {
+		t.Fatal("envelope queueing more samples than the ring holds was accepted")
 	}
 }

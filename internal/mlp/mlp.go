@@ -395,7 +395,11 @@ func (n *Network) TrainEpochs(xs, ys [][]float64, epochs int, lr, momentum float
 	return last
 }
 
-// Clone returns a deep copy of the network (used for DQN target networks).
+// Clone copies the network's shape, weights and biases. The copy's SGD
+// momentum starts at zero and its scratch and rng are fresh (TrainEpochs
+// re-seeds the rng per call), so training it starts a new optimizer
+// trajectory. Every served and experiment policy clone (MLPPolicy.Clone)
+// and every DQN target network goes through it.
 func (n *Network) Clone() *Network {
 	c := &Network{Sizes: append([]int(nil), n.Sizes...), Act: n.Act}
 	for l := range n.W {
@@ -403,6 +407,18 @@ func (n *Network) Clone() *Network {
 		c.B = append(c.B, append([]float64(nil), n.B[l]...))
 		c.mW = append(c.mW, make([]float64, len(n.W[l])))
 		c.mB = append(c.mB, make([]float64, len(n.B[l])))
+	}
+	return c
+}
+
+// CloneWithMomentum is Clone carrying the SGD momentum over as well, so
+// training the copy continues the source's optimizer trajectory exactly as
+// training the source in place would.
+func (n *Network) CloneWithMomentum() *Network {
+	c := n.Clone()
+	for l := range n.mW {
+		copy(c.mW[l], n.mW[l])
+		copy(c.mB[l], n.mB[l])
 	}
 	return c
 }

@@ -40,20 +40,17 @@ type Options struct {
 	// SeedBase decorrelates per-session learners: session n trains with
 	// seed SeedBase+n unless the create request carries an explicit seed.
 	SeedBase int64
-	// TrainWorkers > 0 moves online-IL policy training off the decide path
-	// onto this many background workers (experience queues + atomic policy
-	// snapshot swap). 0 keeps the historical fully synchronous pipeline:
-	// the learner retrains inline in Decide, bit-identical to the
-	// experiment loops.
+	// TrainWorkers > 0 hands online-IL retrains to this many background
+	// workers (il.OnlineIL.AsyncMode: the learner only queues, a worker
+	// retrains a copy and publishes it by atomic snapshot swap). 0 keeps
+	// the learner retraining inline in Decide, bit-identical to the
+	// experiment loops. For the same samples at the same cadence the two
+	// give the same policy.
 	TrainWorkers int
-	// TrainQueue bounds each async session's experience queue in samples;
-	// beyond it the oldest queued sample is dropped (counted, never
-	// blocking the step path). 0 selects four aggregation buffers' worth.
-	TrainQueue int
 	// CrossBatch mixes up to this many recent samples from other sessions
 	// into each background retrain — fleet-wide experience sharing. 0
 	// keeps every learner trained on its own experience only (the
-	// per-session semantics of synchronous mode). Only meaningful with
+	// per-session semantics of inline training). Only meaningful with
 	// TrainWorkers > 0.
 	CrossBatch int
 	// StepInflight bounds concurrently admitted step/batch HTTP requests
@@ -109,9 +106,9 @@ type Server struct {
 	// admits everything (standalone default).
 	limiter *Limiter
 
-	// trainers is the background training pool; nil in synchronous mode.
-	trainers   *trainerPool
-	trainQueue int
+	// trainers is the background training pool; nil when learners train
+	// inline.
+	trainers *trainerPool
 
 	reg               *metrics.Registry
 	mSessionsActive   *metrics.Gauge
@@ -197,14 +194,13 @@ func New(opt Options) *Server {
 		if queueCap < 16 {
 			queueCap = 16
 		}
-		srv.trainQueue = opt.TrainQueue
 		srv.trainers = newTrainerPool(opt.TrainWorkers, queueCap, opt.CrossBatch, reg)
 	}
 	return srv
 }
 
-// Close stops the background training workers (a no-op in synchronous
-// mode). Sessions stay usable; their training just no longer drains.
+// Close stops the background training workers (a no-op when learners
+// train inline). Sessions stay usable; their samples just stay queued.
 func (s *Server) Close() {
 	if s.trainers != nil {
 		s.trainers.close()
@@ -259,53 +255,46 @@ func statusOf(err error) int {
 // hot path), so every session — offline or online — gets its own clone;
 // the tree policy is stateless at inference time and stays shared. The
 // online learner additionally clones the models so its training never
-// touches another session. When the server runs a trainer pool, online
-// learners come up in async mode and the returned AsyncTrainer is the
-// queue the pool drains for this session (nil for every other policy and
-// in synchronous mode).
-func (s *Server) newDecider(policy string, seed int64) (control.Decider, *il.AsyncTrainer, error) {
+// touches another session.
+func (s *Server) newDecider(policy string, seed int64) (control.Decider, error) {
 	switch policy {
 	case PolicyOfflineIL:
 		if s.store == nil {
-			return nil, nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
+			return nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
 		}
 		pol, err := s.store.MLP()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &il.OfflineDecider{P: s.p, Policy: pol.Clone()}, nil, nil
+		return &il.OfflineDecider{P: s.p, Policy: pol.Clone()}, nil
 	case PolicyOfflineTree:
 		if s.store == nil {
-			return nil, nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
+			return nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
 		}
 		pol, err := s.store.Tree()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &il.OfflineDecider{P: s.p, Policy: pol}, nil, nil
+		return &il.OfflineDecider{P: s.p, Policy: pol}, nil
 	case PolicyOnlineIL:
 		if s.store == nil || s.models == nil {
-			return nil, nil, fmt.Errorf("policy %q needs a policy file and warm online models", policy)
+			return nil, fmt.Errorf("policy %q needs a policy file and warm online models", policy)
 		}
 		pol, err := s.store.MLP()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		oil := il.NewOnlineILSeeded(s.p, pol.Clone(), s.models.Clone(), seed)
-		if s.trainers != nil {
-			return oil, oil.AsyncMode(s.trainQueue), nil
-		}
-		return oil, nil, nil
+		return il.NewOnlineILSeeded(s.p, pol.Clone(), s.models.Clone(), seed), nil
 	case "ondemand":
-		return governor.NewOndemand(s.p), nil, nil
+		return governor.NewOndemand(s.p), nil
 	case "interactive":
-		return governor.NewInteractive(s.p), nil, nil
+		return governor.NewInteractive(s.p), nil
 	case "performance":
-		return governor.Performance{P: s.p}, nil, nil
+		return governor.Performance{P: s.p}, nil
 	case "powersave":
-		return governor.Powersave{P: s.p}, nil, nil
+		return governor.Powersave{P: s.p}, nil
 	}
-	return nil, nil, fmt.Errorf("unknown policy %q", policy)
+	return nil, fmt.Errorf("unknown policy %q", policy)
 }
 
 // defaultStart is the neutral boot configuration handed to new sessions.
@@ -358,11 +347,11 @@ func (s *Server) CreateSession(req CreateRequest) (CreateResponse, error) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	dec, trainer, err := s.newDecider(req.Policy, seed)
+	dec, err := s.newDecider(req.Policy, seed)
 	if err != nil {
 		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "%v", err)
 	}
-	sess := &Session{ID: name, Policy: req.Policy, dec: dec, trainer: trainer}
+	sess := &Session{ID: name, Policy: req.Policy, dec: dec, trainer: s.detach(dec)}
 	sess.setEpoch(1) // first ownership generation; every handoff bumps it
 	sess.lastCfg = s.defaultStart()
 	switch s.sessions.insert(sess) {
@@ -526,11 +515,7 @@ func (s *Server) CloseSession(id string) (SessionInfo, error) {
 		return SessionInfo{}, apiErrorf(http.StatusNotFound, "no session %q", id)
 	}
 	sess.close()
-	if s.trainers != nil && sess.trainer != nil {
-		// Account drops the trainer pool will never observe now that no
-		// worker will drain this session again.
-		s.trainers.mDropped.Add(float64(sess.trainer.TakeDropped()))
-	}
+	s.accountDropped(sess)
 	s.mSessionsClosed.Inc()
 	s.mSessionsActive.Add(-1)
 	return sess.info(), nil

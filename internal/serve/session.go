@@ -46,14 +46,14 @@ type Session struct {
 	epoch    uint64
 	epochHdr []string
 
-	// trainer is non-nil when the session's online learner runs in async
-	// mode: the step path polls it for readiness and the server's trainer
-	// pool drains it in the background. trainPending dedupes scheduling (a
-	// ready session sits in the pool queue at most once); trainQueuedAt
-	// timestamps the handoff for the train-lag histogram. All three are
-	// touched outside the session mutex — the whole point is that training
-	// coordination never serializes with stepping.
-	trainer       *il.AsyncTrainer
+	// trainer is non-nil when the session's online learner is detached:
+	// the step path polls it for readiness and the server's trainer pool
+	// drains it in the background. trainPending dedupes scheduling (a ready
+	// session sits in the pool queue at most once; it is claimed under mu,
+	// released by the worker after publishing); trainQueuedAt timestamps
+	// the handoff for the train-lag histogram. Training itself runs outside
+	// the session mutex — it never serializes with stepping.
+	trainer       *il.Trainer
 	trainPending  atomic.Bool
 	trainQueuedAt atomic.Int64
 

@@ -140,37 +140,29 @@ func decodeEnvelopeHeader(d *snap.Decoder) (envelopeHeader, error) {
 }
 
 // decodeDecider rebuilds the per-kind decider payload on import.
-func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider, *il.AsyncTrainer, error) {
+func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider, error) {
 	switch policy {
 	case PolicyOnlineIL:
-		asyncQueueCap := -1
-		if s.trainers != nil {
-			asyncQueueCap = s.trainQueue
-		}
-		oil, async, err := il.DecodeOnlineILState(d, s.p, asyncQueueCap)
-		if err != nil {
-			return nil, nil, err
-		}
-		return oil, async, nil
+		return il.DecodeOnlineILState(d, s.p)
 	case PolicyOfflineIL:
 		pol, err := il.DecodeMLPPolicy(d, s.p)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &il.OfflineDecider{P: s.p, Policy: pol}, nil, nil
+		return &il.OfflineDecider{P: s.p, Policy: pol}, nil
 	case PolicyOfflineTree:
 		if s.store == nil {
-			return nil, nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
+			return nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
 		}
 		pol, err := s.store.Tree()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &il.OfflineDecider{P: s.p, Policy: pol}, nil, nil
+		return &il.OfflineDecider{P: s.p, Policy: pol}, nil
 	case "ondemand":
 		g := governor.NewOndemand(s.p)
 		g.UpThreshold = d.F64()
-		return g, nil, nil
+		return g, nil
 	case "interactive":
 		g := governor.NewInteractive(s.p)
 		g.HispeedLoad = d.F64()
@@ -178,13 +170,13 @@ func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider,
 		g.StepDown = d.Int()
 		cur := decodeConfig(d)
 		g.SetState(cur, d.Bool())
-		return g, nil, nil
+		return g, nil
 	case "performance":
-		return governor.Performance{P: s.p}, nil, nil
+		return governor.Performance{P: s.p}, nil
 	case "powersave":
-		return governor.Powersave{P: s.p}, nil, nil
+		return governor.Powersave{P: s.p}, nil
 	}
-	return nil, nil, fmt.Errorf("unknown policy %q", policy)
+	return nil, fmt.Errorf("unknown policy %q", policy)
 }
 
 // ExportSession snapshots a live session without disturbing it. The session
@@ -211,35 +203,23 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 // export half of a handoff. The sequence is the per-session handoff lock:
 // remove from the registry (no new lookups resolve the id), mark the
 // session closed (a step already holding the pointer fails cleanly and the
-// caller retries against the new owner), wait out any in-flight background
-// retrain, then encode. The encode retries if a background retrain
-// published mid-encode, so the snapshot never loses a policy update.
+// caller retries against the new owner, and no retrain can be scheduled
+// any more), wait out a background retrain already scheduled, then encode.
 func (s *Server) DetachSession(id string) ([]byte, error) {
 	sess := s.sessions.remove(id)
 	if sess == nil {
 		return nil, apiErrorf(http.StatusNotFound, "no session %q", id)
 	}
 	sess.close()
+	// A worker holds trainPending until it has published its retrain.
+	for sess.trainPending.Load() {
+		time.Sleep(50 * time.Microsecond)
+	}
 	var e snap.Encoder
-	var err error
-	for attempt := 0; ; attempt++ {
-		// A worker mid-retrain holds trainPending until it publishes; once it
-		// is clear no new retrain can be scheduled (steps fail on closed).
-		for sess.trainPending.Load() {
-			time.Sleep(50 * time.Microsecond)
-		}
-		before := trainerUpdates(sess)
-		e = snap.Encoder{}
-		sess.mu.Lock()
-		err = s.encodeSessionLocked(sess, &e)
-		sess.mu.Unlock()
-		if err != nil || (trainerUpdates(sess) == before && !sess.trainPending.Load()) || attempt >= 100 {
-			break
-		}
-	}
-	if s.trainers != nil && sess.trainer != nil {
-		s.trainers.mDropped.Add(float64(sess.trainer.TakeDropped()))
-	}
+	sess.mu.Lock()
+	err := s.encodeSessionLocked(sess, &e)
+	sess.mu.Unlock()
+	s.accountDropped(sess)
 	s.mSessionsActive.Add(-1)
 	if err != nil {
 		// The session is gone either way — exporting an unsnapshottable
@@ -306,22 +286,10 @@ func (s *Server) fenceLive(cur *Session) {
 		return
 	}
 	removed.close()
-	if s.trainers != nil && removed.trainer != nil {
-		s.trainers.mDropped.Add(float64(removed.trainer.TakeDropped()))
-	}
+	s.accountDropped(removed)
 	s.raiseFence(removed.ID, removed.epoch)
 	s.mSessionsFenced.Inc()
 	s.mSessionsActive.Add(-1)
-}
-
-// trainerUpdates reads the session's published-update count (0 when the
-// session has no async trainer), the generation stamp of the encode-retry
-// loop above.
-func trainerUpdates(sess *Session) int {
-	if sess.trainer == nil {
-		return 0
-	}
-	return sess.trainer.Updates()
 }
 
 // ImportSession restores a session from a snapshot produced by
@@ -380,7 +348,7 @@ func (s *Server) ImportSession(data []byte) (CreateResponse, error) {
 		sess.prev.Threads = d.Int()
 		sess.prev.Derived = c.Derived()
 	}
-	dec, trainer, err := s.decodeDecider(policy, d)
+	dec, err := s.decodeDecider(policy, d)
 	if err != nil {
 		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "%v", err)
 	}
@@ -392,7 +360,7 @@ func (s *Server) ImportSession(data []byte) (CreateResponse, error) {
 			"snapshot carries %d trailing bytes", d.Remaining())
 	}
 	sess.dec = dec
-	sess.trainer = trainer
+	sess.trainer = s.detach(dec)
 	for attempt := 0; ; attempt++ {
 		switch s.sessions.insert(sess) {
 		case insertDup:

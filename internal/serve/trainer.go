@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"socrm/internal/control"
 	"socrm/internal/il"
 	"socrm/internal/metrics"
 )
@@ -17,10 +18,13 @@ import (
 // retrain to a later step instead of waiting (admission control; the
 // deferred counter makes the shedding observable).
 type trainerPool struct {
-	queue    chan *Session
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	queue chan *Session
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	// closeMu orders enqueue against close: once closed is set no session
+	// enters the queue, so close can release every session still in it.
+	closeMu sync.Mutex
+	closed  bool
 
 	// shared is the bounded cross-session experience ring: every drained
 	// batch is contributed, and each retrain mixes in up to crossBatch
@@ -76,8 +80,13 @@ func newTrainerPool(workers, queueCap, crossBatch int, reg *metrics.Registry) *t
 
 // enqueue hands a session to the pool without ever blocking; false means
 // the queue is full and the caller should shed (the session's next step
-// re-triggers scheduling).
+// re-triggers scheduling), or the pool is closed.
 func (p *trainerPool) enqueue(sess *Session) bool {
+	p.closeMu.Lock()
+	defer p.closeMu.Unlock()
+	if p.closed {
+		return false
+	}
 	select {
 	case p.queue <- sess:
 		return true
@@ -94,12 +103,27 @@ func (p *trainerPool) backlogged() bool {
 	return q > 0 && 2*q >= cap(p.queue)
 }
 
-// close stops the workers; queued sessions are abandoned (their next step
-// reschedules them if the pool is ever restarted — in practice close only
-// runs at daemon/test shutdown).
+// close stops the workers and releases every session still queued, so no
+// session stays scheduled for a retrain that will never run; their samples
+// stay queued in their learners (and leave in their envelopes).
 func (p *trainerPool) close() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.closeMu.Lock()
+	if !p.closed {
+		p.closed = true
+		close(p.stop)
+	}
+	p.closeMu.Unlock()
 	p.wg.Wait()
+	for {
+		select {
+		case sess := <-p.queue:
+			if sess != nil {
+				sess.trainPending.Store(false)
+			}
+		default:
+			return
+		}
+	}
 }
 
 func (p *trainerPool) worker() {
@@ -185,20 +209,44 @@ func (p *trainerPool) sampleShared(dst []il.Sample) []il.Sample {
 	return dst
 }
 
-// maybeScheduleTraining is the step-path hook: when an async session has a
-// buffer's worth of experience queued, hand it to the pool exactly once.
-// Everything here is a few atomic operations — no locks, no allocation,
-// and never a wait, whatever state the pool is in.
+// maybeScheduleTraining is the step-path hook: when a detached session has
+// a buffer's worth of experience queued, hand it to the pool exactly once.
+// Until then it is a few atomic loads; no allocation, and never a wait
+// beyond two uncontended locks, whatever state the pool is in.
 func (s *Server) maybeScheduleTraining(sess *Session) {
-	if s.trainers == nil || sess.trainer == nil || !sess.trainer.Ready() {
+	if s.trainers == nil || sess.trainer == nil || !sess.trainer.Ready() || sess.trainPending.Load() {
 		return
 	}
-	if !sess.trainPending.CompareAndSwap(false, true) {
+	// Claim under the session lock: once close has run, no retrain can be
+	// scheduled, so DetachSession only waits out one scheduled before.
+	sess.mu.Lock()
+	claimed := !sess.closed && sess.trainPending.CompareAndSwap(false, true)
+	sess.mu.Unlock()
+	if !claimed {
 		return
 	}
 	sess.trainQueuedAt.Store(time.Now().UnixNano())
 	if !s.trainers.enqueue(sess) {
 		sess.trainPending.Store(false)
 		s.trainers.mDeferred.Inc()
+	}
+}
+
+// detach hands an online learner's retrains to the trainer pool and returns
+// the trainer the pool drains for its session; nil for every other decider
+// and when learners train inline.
+func (s *Server) detach(dec control.Decider) *il.Trainer {
+	oil, isOIL := dec.(*il.OnlineIL)
+	if s.trainers == nil || !isOIL {
+		return nil
+	}
+	return oil.AsyncMode()
+}
+
+// accountDropped adds the samples a removed session's queue shed to the
+// dropped meter; no worker will drain the session again to observe them.
+func (s *Server) accountDropped(sess *Session) {
+	if s.trainers != nil && sess.trainer != nil {
+		s.trainers.mDropped.Add(float64(sess.trainer.TakeDropped()))
 	}
 }

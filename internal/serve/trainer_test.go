@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"socrm/internal/il"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -95,6 +96,57 @@ func TestAsyncSessionUpdatesVisible(t *testing.T) {
 	}
 	if _, err := srv.CloseSession(created.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDetachAfterClose: once Close has stopped the trainer pool, a session
+// that queues a buffer's worth of samples must not stay scheduled for a
+// retrain no worker will run. DetachSession returns, and the queued samples
+// leave in the envelope.
+func TestDetachAfterClose(t *testing.T) {
+	srv, _, _ := newTestServer(t, func(o *Options) { o.TrainWorkers = 1 })
+	srv.Close()
+	created, err := srv.CreateSession(CreateRequest{Policy: PolicyOnlineIL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.sessions.get(created.ID)
+	p := soc.NewXU3()
+	app := workload.MiBench(9)[0]
+	cfg := p.Clamp(created.Start)
+	for i := 0; !sess.trainer.Ready(); i++ {
+		if i == 2000 {
+			t.Fatal("session never queued a buffer's worth of samples")
+		}
+		sn := app.Snippets[i%len(app.Snippets)]
+		res := p.Execute(sn, cfg)
+		if cfg, _, err = srv.Step(created.ID, &StepTelemetry{
+			Counters: res.Counters, Config: cfg, Threads: sn.Threads, EnergyJ: res.Energy,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan []byte, 1)
+	go func() {
+		data, err := srv.DetachSession(created.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- data
+	}()
+	var data []byte
+	select {
+	case data = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("DetachSession still blocked 5 s after Close")
+	}
+	dst, _, _ := newTestServer(t, nil)
+	if _, err := dst.ImportSession(data); err != nil {
+		t.Fatal(err)
+	}
+	oil := dst.sessions.get(created.ID).dec.(*il.OnlineIL)
+	if got := oil.Trainer().Buffered(); got < oil.BufferCap {
+		t.Fatalf("envelope carries %d queued samples, want at least %d", got, oil.BufferCap)
 	}
 }
 
