@@ -248,6 +248,9 @@ func TestTrainerModesAgree(t *testing.T) {
 		f(&e)
 		return e.Bytes()
 	}
+	trainerState := func(o *OnlineIL) func(*snap.Encoder) {
+		return func(e *snap.Encoder) { encodeTrainerState(e, o.trainer) }
+	}
 	for _, app := range shortApps(40) {
 		cfg := p.Clamp(soc.Config{LittleFreqIdx: 4, BigFreqIdx: 6, NLittle: 4, NBig: 2})
 		for i, sn := range app.Snippets {
@@ -264,9 +267,6 @@ func TestTrainerModesAgree(t *testing.T) {
 			}
 			if !bytes.Equal(encode(detached.Policy().EncodeTo), encode(inline.Policy().EncodeTo)) {
 				t.Fatalf("%s snippet %d: policies differ after %d updates", app.Name, i, inline.Updates())
-			}
-			trainerState := func(o *OnlineIL) func(*snap.Encoder) {
-				return func(e *snap.Encoder) { encodeTrainerState(e, o.trainer) }
 			}
 			if !bytes.Equal(encode(trainerState(detached)), encode(trainerState(inline))) {
 				t.Fatalf("%s snippet %d: trainer states differ", app.Name, i)

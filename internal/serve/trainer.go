@@ -211,8 +211,8 @@ func (p *trainerPool) sampleShared(dst []il.Sample) []il.Sample {
 
 // maybeScheduleTraining is the step-path hook: when a detached session has
 // a buffer's worth of experience queued, hand it to the pool exactly once.
-// Until then it is a few atomic loads; no allocation, and never a wait
-// beyond two uncontended locks, whatever state the pool is in.
+// Until then it is a few atomic loads. It allocates nothing and never
+// waits for the pool, whatever state the pool is in.
 func (s *Server) maybeScheduleTraining(sess *Session) {
 	if s.trainers == nil || sess.trainer == nil || !sess.trainer.Ready() || sess.trainPending.Load() {
 		return
