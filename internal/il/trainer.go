@@ -76,11 +76,17 @@ func (t *Trainer) Ingest(x, y []float64) {
 	s := t.slot()
 	copy(s.X[:], x)
 	copy(s.Y[:], y)
-	due := !t.detached && t.n >= t.o.BufferCap
 	t.mu.Unlock()
-	if due {
-		t.retrain(t.o.pol.Load(), t.Drain(), nil)
+	if t.detached || t.n < t.o.BufferCap {
+		return
 	}
+	// Inline, only the decide goroutine touches the ring, so the retrain
+	// reads the queue in place, oldest first: from start, then the part
+	// that wrapped.
+	end := t.start + t.n
+	t.retrain(t.o.pol.Load(), t.ring[t.start:min(end, len(t.ring))], t.ring[:max(end-len(t.ring), 0)])
+	t.start, t.n = 0, 0
+	t.pending.Store(0)
 }
 
 // slot returns the ring slot the next sample goes to, growing the storage
@@ -180,9 +186,9 @@ func (t *Trainer) TrainOn(own, extra []Sample) {
 	t.o.pol.Store(next)
 }
 
-// retrain is the one policy update of both modes: standardize the samples
-// with pol's scaler and train pol on them with the next seed of the update
-// schedule.
+// retrain is the one policy update of both modes: standardize own then
+// extra with pol's scaler and train pol on them with the next seed of the
+// update schedule.
 func (t *Trainer) retrain(pol *MLPPolicy, own, extra []Sample) {
 	o := t.o
 	total := len(own) + len(extra)

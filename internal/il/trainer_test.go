@@ -307,3 +307,44 @@ func TestDecodeRefusesOverfullQueue(t *testing.T) {
 		t.Fatal("envelope queueing more samples than the ring holds was accepted")
 	}
 }
+
+// TestInlineRetrainReadsWrappedRing: an inline learner restored with a full
+// queue drops its oldest sample on the next Ingest, and its retrain then
+// reads the wrapped ring in place. It must train on what a detached twin
+// drains — the same samples in the same order — and land on the same
+// policy.
+func TestInlineRetrainReadsWrappedRing(t *testing.T) {
+	src := trainerFixture(t)
+	tr := src.AsyncMode()
+	x := make([]float64, control.NumFeatures)
+	y := make([]float64, soc.NumConfigFeatures)
+	for i := 0; i < 4*src.BufferCap; i++ {
+		x[0], y[0] = float64(i), float64(i%5)/4
+		tr.Ingest(x, y)
+	}
+	var e snap.Encoder
+	src.EncodeStateTo(&e)
+	restore := func() *OnlineIL {
+		o, err := DecodeOnlineILState(snap.NewDecoder(e.Bytes()), src.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	inline, detached := restore(), restore()
+	dtr := detached.AsyncMode()
+	x[0], y[0] = -1, 1
+	inline.Trainer().Ingest(x, y)
+	dtr.Ingest(x, y)
+	dtr.TrainOn(dtr.Drain(), nil)
+	if inline.Updates() != 1 || detached.Updates() != 1 || inline.Trainer().Buffered() != 0 {
+		t.Fatalf("updates %d/%d, inline queue %d; want one retrain each and an empty queue",
+			inline.Updates(), detached.Updates(), inline.Trainer().Buffered())
+	}
+	var a, b snap.Encoder
+	inline.Policy().EncodeTo(&a)
+	detached.Policy().EncodeTo(&b)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("inline retrain over the wrapped ring differs from the detached retrain of the drained queue")
+	}
+}
