@@ -141,9 +141,22 @@ func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error)
 func encodeTrainerState(e *snap.Encoder, t *Trainer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.encodeLocked(e)
+}
+
+// encodeLocked is encodeTrainerState with t.mu held. A detached retrain's
+// drained batch counts as queued ahead of the ring until TrainOn publishes
+// it; where batch and ring together pass the ring's capacity, the batch's
+// oldest samples are written as dropped, as Ingest would have dropped them.
+func (t *Trainer) encodeLocked(e *snap.Encoder) {
+	over := min(max(t.inflight+t.n-ringBuffers*t.o.BufferCap, 0), t.inflight)
 	e.I64(t.updates.Load())
-	e.U64(t.dropped)
-	e.U32(uint32(t.n))
+	e.U64(t.dropped + uint64(over))
+	e.U32(uint32(t.inflight + t.n - over))
+	for _, s := range t.take[over:t.inflight] {
+		e.F64s(s.X[:])
+		e.F64s(s.Y[:])
+	}
 	for i := 0; i < t.n; i++ {
 		j := t.start + i
 		if j >= len(t.ring) {
@@ -195,9 +208,13 @@ func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 	e.Int(o.Warmup)
 	e.I64(o.Seed)
 	e.Int(o.decisions)
+	// The trainer lock keeps a detached retrain's publish out of the encode,
+	// so the policy, the update count and the queue come from one side of it.
+	o.trainer.mu.Lock()
+	defer o.trainer.mu.Unlock()
 	o.pol.Load().EncodeTo(e)
 	o.Models.EncodeTo(e)
-	encodeTrainerState(e, o.trainer)
+	o.trainer.encodeLocked(e)
 }
 
 // DecodeOnlineILState reconstructs a learner written by EncodeStateTo, with

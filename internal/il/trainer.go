@@ -38,12 +38,16 @@ type Trainer struct {
 
 	// ring holds n queued samples, oldest at start. Its storage grows on
 	// demand up to ringBuffers aggregation buffers, so a learner only holds
-	// as many slots as it has queued at once.
-	mu      sync.Mutex
-	ring    []Sample
-	start   int
-	n       int
-	dropped uint64
+	// as many slots as it has queued at once. The first inflight samples of
+	// take are a detached retrain's batch: drained, but not yet published
+	// with the policy trained on them. mu also orders an export against
+	// that publish (EncodeStateTo).
+	mu       sync.Mutex
+	ring     []Sample
+	start    int
+	n        int
+	dropped  uint64
+	inflight int
 
 	// pending mirrors n so the serving step path can poll readiness with a
 	// single atomic load instead of taking the ring mutex per step.
@@ -84,7 +88,8 @@ func (t *Trainer) Ingest(x, y []float64) {
 	// reads the queue in place, oldest first: from start, then the part
 	// that wrapped.
 	end := t.start + t.n
-	t.retrain(t.o.pol.Load(), t.ring[t.start:min(end, len(t.ring))], t.ring[:max(end-len(t.ring), 0)])
+	u := t.retrain(t.o.pol.Load(), t.ring[t.start:min(end, len(t.ring))], t.ring[:max(end-len(t.ring), 0)])
+	t.updates.Store(u)
 	t.start, t.n = 0, 0
 	t.pending.Store(0)
 }
@@ -148,8 +153,10 @@ func (t *Trainer) TakeDropped() uint64 {
 }
 
 // Drain moves every queued sample (oldest first) into the trainer's private
-// batch and returns it; the slice is reused and only valid until the next
-// Drain. Detached, only the worker calls it.
+// batch and returns it for TrainOn; the slice is reused and only valid until
+// the next Drain. Until TrainOn publishes the retrain, an export still
+// carries the drained samples as queued, beside the policy and update count
+// they have not changed yet. Detached, only the worker calls it.
 func (t *Trainer) Drain() []Sample {
 	t.mu.Lock()
 	if cap(t.take) < t.n {
@@ -163,7 +170,7 @@ func (t *Trainer) Drain() []Sample {
 		}
 		take[i] = t.ring[j]
 	}
-	t.start, t.n = 0, 0
+	t.start, t.n, t.inflight = 0, 0, len(take)
 	t.pending.Store(0)
 	t.mu.Unlock()
 	return take
@@ -173,23 +180,29 @@ func (t *Trainer) Drain() []Sample {
 // current policy snapshot that carries the snapshot's momentum, then
 // atomically publishes the copy, so a Decide in flight keeps the old
 // snapshot untouched. extra holds cross-session samples trained after own.
-// A detached learner's snapshot is never trained in place, so copying it
-// races no Predict. Worker-side only; callers must not run two TrainOns
-// concurrently on one trainer.
+// The new policy, the update count and the end of the drained batch's
+// flight are published in one critical section, so an export sees the
+// retrain either not at all or whole. A detached learner's snapshot is
+// never trained in place, so copying it races no Predict. Worker-side
+// only; callers must not run two TrainOns concurrently on one trainer.
 func (t *Trainer) TrainOn(own, extra []Sample) {
 	if len(own)+len(extra) == 0 {
 		return
 	}
 	cur := t.o.pol.Load()
 	next := &MLPPolicy{Net: cur.Net.CloneWithMomentum(), Scaler: cur.Scaler, P: cur.P}
-	t.retrain(next, own, extra)
+	u := t.retrain(next, own, extra)
+	t.mu.Lock()
 	t.o.pol.Store(next)
+	t.updates.Store(u)
+	t.inflight = 0
+	t.mu.Unlock()
 }
 
 // retrain is the one policy update of both modes: standardize own then
 // extra with pol's scaler and train pol on them with the next seed of the
-// update schedule.
-func (t *Trainer) retrain(pol *MLPPolicy, own, extra []Sample) {
+// update schedule. It returns the update count to publish with pol.
+func (t *Trainer) retrain(pol *MLPPolicy, own, extra []Sample) int64 {
 	o := t.o
 	total := len(own) + len(extra)
 	for len(t.txX) < total {
@@ -210,6 +223,7 @@ func (t *Trainer) retrain(pol *MLPPolicy, own, extra []Sample) {
 		txX[i] = pol.Scaler.TransformInto(txX[i][:len(s.X)], s.X[:])
 		ys[i] = s.Y[:]
 	}
-	u := t.updates.Add(1)
+	u := t.updates.Load() + 1
 	pol.Net.TrainEpochs(txX, ys, o.Epochs, o.LR, o.Momentum, o.Seed+u)
+	return u
 }

@@ -348,3 +348,84 @@ func TestInlineRetrainReadsWrappedRing(t *testing.T) {
 		t.Fatal("inline retrain over the wrapped ring differs from the detached retrain of the drained queue")
 	}
 }
+
+// TestExportBetweenDrainAndTrainOn exports a detached learner while its
+// retrain is in flight, between Drain and TrainOn. The envelope must be the
+// one taken before Drain (old policy, old update count, every drained
+// sample still queued), and restoring it and retraining must land on the
+// state the live learner publishes.
+func TestExportBetweenDrainAndTrainOn(t *testing.T) {
+	oil := trainerFixture(t)
+	tr := oil.AsyncMode()
+	x := make([]float64, control.NumFeatures)
+	y := make([]float64, soc.NumConfigFeatures)
+	for i := 0; i < oil.BufferCap+3; i++ {
+		x[0], y[0] = float64(i), float64(i%5)/4
+		tr.Ingest(x, y)
+	}
+	export := func(o *OnlineIL) []byte {
+		var e snap.Encoder
+		o.EncodeStateTo(&e)
+		return e.Bytes()
+	}
+	before := export(oil)
+	batch := tr.Drain()
+	if during := export(oil); !bytes.Equal(during, before) {
+		t.Fatal("an export between Drain and TrainOn differs from the one before Drain")
+	}
+	// Samples queued during the retrain go behind the drained batch.
+	x[0], y[0] = -1, 1
+	tr.Ingest(x, y)
+	during := export(oil)
+	tr.TrainOn(batch, nil)
+	after := export(oil)
+
+	restored, err := DecodeOnlineILState(snap.NewDecoder(during), oil.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtr := restored.AsyncMode()
+	if restored.Updates() != 0 || rtr.Buffered() != len(batch)+1 {
+		t.Fatalf("restored mid-retrain envelope: %d updates and %d queued, want 0 and %d", restored.Updates(), rtr.Buffered(), len(batch)+1)
+	}
+	// Retrain on what the live learner drained, leaving the newer sample queued.
+	own := rtr.Drain()
+	for _, s := range own[len(batch):] {
+		rtr.Ingest(s.X[:], s.Y[:])
+	}
+	rtr.TrainOn(own[:len(batch)], nil)
+	if !bytes.Equal(export(restored), after) {
+		t.Fatal("restoring the mid-retrain envelope and retraining does not reproduce the published state")
+	}
+}
+
+// TestExportMidRetrainKeepsRingCapacity: a drained batch plus a ring that
+// refilled during the retrain can pass the ring's capacity. The export then
+// writes the batch's oldest samples as dropped, so the envelope still
+// imports.
+func TestExportMidRetrainKeepsRingCapacity(t *testing.T) {
+	oil := trainerFixture(t)
+	tr := oil.AsyncMode()
+	x := make([]float64, control.NumFeatures)
+	y := make([]float64, soc.NumConfigFeatures)
+	limit := 4 * oil.BufferCap
+	for i := 0; i < oil.BufferCap; i++ {
+		tr.Ingest(x, y)
+	}
+	tr.Drain()
+	for i := 0; i < limit; i++ {
+		tr.Ingest(x, y)
+	}
+	var e snap.Encoder
+	oil.EncodeStateTo(&e)
+	restored, err := DecodeOnlineILState(snap.NewDecoder(e.Bytes()), oil.P)
+	if err != nil {
+		t.Fatalf("mid-retrain envelope refused: %v", err)
+	}
+	if got := restored.Trainer().Buffered(); got != limit {
+		t.Fatalf("restored queue holds %d samples, want %d", got, limit)
+	}
+	if got := restored.Trainer().Dropped(); got != uint64(oil.BufferCap) {
+		t.Fatalf("restored dropped count %d, want %d", got, oil.BufferCap)
+	}
+}

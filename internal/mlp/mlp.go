@@ -238,12 +238,13 @@ func (n *Network) TrainStep(x, target []float64, lr, momentum float64) float64 {
 	return loss
 }
 
-// backpropLayer accumulates the delta of a hidden layer's inputs into
+// backpropLayerGo accumulates the delta of a hidden layer's inputs into
 // nextDelta (zeroed by the caller) and applies the layer's weight update.
 // Rows go in pairs: each weight is loaded once for both its share of
 // nextDelta and its own update, and nextDelta[i] still adds row j's term
-// before row j+1's.
-func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64) {
+// before row j+1's. It is backpropLayer wherever the vector kernel does
+// not run.
+func backpropLayerGo(nextDelta, prev, delta, W, M []float64, lr, momentum float64) {
 	in := len(prev)
 	nextDelta = nextDelta[:in]
 	for ; len(delta) >= 2; delta, W, M = delta[2:], W[2*in:], M[2*in:] {
@@ -272,7 +273,7 @@ func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64)
 	}
 }
 
-// updateInputLayer applies the input layer's weight update
+// updateInputLayerGo applies the input layer's weight update
 // m = momentum*m - lr*(d*p); w = w + m, skipping the updates that provably
 // leave w and m unchanged. Where the input p is ±0 and d and lr are finite,
 // lr*(d*p) is ±0, so:
@@ -291,8 +292,9 @@ func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64)
 //
 // The skip test sits inside its own if on p == 0: folded into one
 // condition, the compiler kept the combined bool on the stack and reloaded
-// it for every element.
-func updateInputLayer(x, delta, W, M []float64, lr, momentum float64, k uint64) {
+// it for every element. It is updateInputLayer wherever the vector kernel
+// does not run.
+func updateInputLayerGo(x, delta, W, M []float64, lr, momentum float64, k uint64) {
 	const signBit = 1 << 63
 	in := len(x)
 	if k == 0 || !finite(delta) {

@@ -29,7 +29,12 @@
 # than the base's IQR; anything else reads "same". In perfbench mode,
 # metrics whose median moved the wrong way by more than their
 # BENCHMARK.json bound, or whose head IQR exceeds the bound, are flagged
-# and make the exit status 1.
+# and make the exit status 1. Each perfbench run also reports the host CPU
+# share stolen by other tenants during its untraced phase (host.steal_pct);
+# the script prints it per round and side and flags every round where either
+# side saw more than 10 percent (steal_max below), since a verdict that
+# rests on such rounds measures the host as much as the code. Flagged steal
+# does not change the exit status.
 #
 # Defaults: 10 rounds of fleet-routed, 40 s each, untraced, seeds from 1.
 set -euo pipefail
@@ -39,6 +44,7 @@ set -euo pipefail
 {
 
 rounds=10 workload=fleet-routed seconds=40 seed=1 trace=0 bench= benchtime=1s
+steal_max=10 # percent of host CPU stolen in a run before its round is flagged
 while [ $# -gt 2 ]; do
 	case "$1" in
 	-n) rounds="$2"; shift 2 ;;
@@ -91,7 +97,7 @@ run() { # side round
 	fi
 	(cd "$dir/$1" && "$dir/$1.bin" --workload "$workload" --seed "$s" \
 		--seconds "$seconds" --trace "$trace") >"$out" 2>&1
-	echo "  round $2 seed $s $1: $(tail -n 1 "$out" | cut -c1-60)..." >&2
+	echo "  round $2 seed $s $1: steal $(awk '$1 == "host.steal_pct" {print $2; exit}' "$out")%, $(tail -n 1 "$out" | cut -c1-60)..." >&2
 }
 for ((i = 0; i < rounds; i++)); do
 	if ((i % 2 == 0)); then
@@ -101,10 +107,10 @@ for ((i = 0; i < rounds; i++)); do
 	fi
 done
 
-python3 - "$dir" "$rounds" "$bench" <<'PYEOF'
+python3 - "$dir" "$rounds" "$bench" "$steal_max" <<'PYEOF'
 import json, math, re, statistics, sys
 
-d, n, bench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+d, n, bench, steal_max = sys.argv[1], int(sys.argv[2]), sys.argv[3], float(sys.argv[4])
 better, bound = {}, {}
 if not bench:
     spec = json.load(open(f"{d}/head/BENCHMARK.json"))
@@ -134,6 +140,15 @@ def load(side, i):
     if not doc.get("correct"):
         sys.exit(f"pair: {side} round {i} failed its checks")
     return {k: v["value"] for k, v in doc["metrics"].items()}
+
+def steal(side, i):
+    # perfbench prints "  host.steal_pct  <value> %  (diagnostic, ...)"
+    # for its untraced phase; None where a run did not report it.
+    for line in open(f"{d}/runs/{side}-{i}.txt"):
+        f = line.split()
+        if len(f) >= 2 and f[0] == "host.steal_pct":
+            return float(f[1])
+    return None
 
 base = [load("base", i) for i in range(n)]
 head = [load("head", i) for i in range(n)]
@@ -175,6 +190,17 @@ for name in sorted(set(base[0]) & set(head[0])):
     print(f"{name:32s} {mb:14.4g} [{ib:9.3g}] {mh:14.4g} [{ih:9.3g}] {wins:4d}/{n:<4d}  {verdict}"
           + (" (" + "; ".join(notes) + ")" if notes else ""))
 print(f"rule: better/worse needs >= 10 rounds, >= {need}/{n} wins/losses and a median gap wider than the base IQR")
+if not bench:
+    fmt = lambda v: "n/a" if v is None else f"{v:.1f}%"
+    stolen = []
+    print("host.steal_pct per round (base / head):", "  ".join(
+        f"{i}: {fmt(steal('base', i))} / {fmt(steal('head', i))}" for i in range(n)))
+    for i in range(n):
+        if any(v is not None and v > steal_max for v in (steal("base", i), steal("head", i))):
+            stolen.append(i)
+    if stolen:
+        print(f"steal: rounds {', '.join(map(str, stolen))} had more than {steal_max:g}% of the host's CPU stolen "
+              f"on a side; the verdicts above rest partly on them")
 sys.exit(1 if flagged else 0)
 PYEOF
 exit
