@@ -188,10 +188,11 @@ func TestAsyncCrossSessionExtras(t *testing.T) {
 }
 
 // TestAsyncDecideConcurrentWithTraining is the -race soak for the snapshot
-// swap: one goroutine decides continuously while another drains and
-// retrains, so the detector checks the immutability argument — Clone reads
-// only weights, Predict writes only per-snapshot scratch, and the atomic
-// pointer publishes the handoff.
+// swap: one goroutine decides and exports continuously while another drains
+// and retrains, so the detector checks the immutability argument — Clone
+// reads only weights, Predict writes only per-snapshot scratch, and the
+// atomic pointer publishes the handoff — and the trainer lock that orders
+// an export against the publish.
 func TestAsyncDecideConcurrentWithTraining(t *testing.T) {
 	oil := trainerFixture(t)
 	tr := oil.AsyncMode()
@@ -218,8 +219,26 @@ func TestAsyncDecideConcurrentWithTraining(t *testing.T) {
 	if testing.Short() {
 		decides = 200
 	}
+	last := -1
 	for i := 0; i < decides; i++ {
 		oil.Decide(st)
+		if i%8 != 0 {
+			continue
+		}
+		// An export races the worker's publish: it must decode, and its
+		// update count must never go backwards.
+		var e snap.Encoder
+		oil.EncodeStateTo(&e)
+		o, err := DecodeOnlineILState(snap.NewDecoder(e.Bytes()), oil.P)
+		if err != nil {
+			t.Errorf("decide %d: export taken during training does not decode: %v", i, err)
+			break
+		}
+		if o.Updates() < last {
+			t.Errorf("decide %d: export shows %d updates after one with %d", i, o.Updates(), last)
+			break
+		}
+		last = o.Updates()
 	}
 	close(stop)
 	wg.Wait()

@@ -31,8 +31,8 @@ func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64)
 		backpropLayerGo(nextDelta, prev, delta, W, M, lr, momentum)
 		return
 	}
-	// The kernel touches exactly these elements' ranges; a wrong shape
-	// panics here instead.
+	// The last elements the kernel reads and writes: a wrong shape panics
+	// here, in Go, instead of sending the kernel past a slice's end.
 	_, _, _ = nextDelta[in-1], W[len(delta)*in-1], M[len(delta)*in-1]
 	backpropAVX2(nextDelta, prev, delta, W, M, lr, momentum)
 }
