@@ -5,6 +5,7 @@ package mlp
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 )
 
@@ -129,17 +130,36 @@ func TestAVX2MatchesGo(t *testing.T) {
 }
 
 // sameBits compares pairs of slices (a0, b0, a1, b1, ...) bit for bit and
-// returns the first differing index.
+// returns the first differing index. Under -race two NaNs count as equal
+// whatever their payloads: race instrumentation changes the registers the
+// compiler gives the Go loops, and with them which operand of an add or a
+// multiply comes first, which decides the payload when both are NaN. The
+// kernel follows the operand order of the default build.
 func sameBits(pairs ...[]float64) (int, bool) {
 	for p := 0; p+1 < len(pairs); p += 2 {
-		for i := range pairs[p] {
-			if math.Float64bits(pairs[p][i]) != math.Float64bits(pairs[p+1][i]) {
+		for i, a := range pairs[p] {
+			b := pairs[p+1][i]
+			if math.Float64bits(a) != math.Float64bits(b) && !(raceBuild && a != a && b != b) {
 				return i, false
 			}
 		}
 	}
 	return 0, true
 }
+
+// raceBuild reports whether the test binary was built with -race.
+var raceBuild = func() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}()
 
 // TestKernelShapeChecked checks that a weight slice too short for its
 // rows panics in Go before the vector kernel could read past it.
