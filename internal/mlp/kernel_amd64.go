@@ -33,7 +33,13 @@ func backpropLayer(nextDelta, prev, delta, W, M []float64, lr, momentum float64)
 	}
 	// The last elements the kernel reads and writes: a wrong shape panics
 	// here, in Go, instead of sending the kernel past a slice's end.
-	_, _, _ = nextDelta[in-1], W[len(delta)*in-1], M[len(delta)*in-1]
+	n := len(delta) * in
+	_, _, _ = nextDelta[in-1], W[n-1], M[n-1]
+	raceRead(prev)
+	raceRead(delta)
+	raceWrite(nextDelta[:in])
+	raceWrite(W[:n])
+	raceWrite(M[:n])
 	backpropAVX2(nextDelta, prev, delta, W, M, lr, momentum)
 }
 
@@ -47,6 +53,11 @@ func updateInputLayer(x, delta, W, M []float64, lr, momentum float64, k uint64) 
 	if k > 0 && !finite(delta) {
 		k = 0
 	}
-	_, _ = W[len(delta)*in-1], M[len(delta)*in-1]
+	n := len(delta) * in
+	_, _ = W[n-1], M[n-1]
+	raceRead(x)
+	raceRead(delta)
+	raceWrite(W[:n])
+	raceWrite(M[:n])
 	updateInputAVX2(x, delta, W, M, lr, momentum, k)
 }
