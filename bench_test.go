@@ -337,7 +337,7 @@ func BenchmarkOnlineILDecision(b *testing.B) {
 // benchAggState drives workload traces through an online learner until a
 // decision aggregates (the argmin is interior), returning that state;
 // re-deciding it aggregates every time since the models are not updated
-// afterwards. Works for both trainer modes.
+// afterwards.
 func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control.State {
 	b.Helper()
 	p := s.P
@@ -365,12 +365,11 @@ func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control
 	return control.State{}
 }
 
-// BenchmarkOnlineILDecideSyncRetrain is the tail-latency baseline the async
-// pipeline exists to remove: the same aggregating scenario as
-// BenchmarkOnlineILDecideAsync but with the historical inline trainer, so
-// every BufferCap-th decide pays a full MLP retrain on the decide path.
-// Compare its ns/op and p99_ns against the async benchmark's. Its retrains
-// are not a served retrain's: one state is re-decided until training on
+// BenchmarkOnlineILDecideSyncRetrain is an online-IL decide that aggregates
+// every call, so every BufferCap-th decide also pays the inline MLP
+// retrain: ns/op is the candidate sweep plus an eighth of a retrain, and
+// p99_ns is a decide that retrained. The CI allocs/op gate covers it. Its
+// retrains are not a served retrain's: one state is re-decided until training on
 // it converges, so the policy's momenta decay into the subnormal range and
 // most of a retrain's time is subnormal arithmetic on nonzero inputs,
 // which the training kernel's exact skip does not cover.
@@ -389,85 +388,6 @@ func BenchmarkOnlineILDecideSyncRetrain(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(h.Quantile(0.99)*1e9, "p99_ns")
 	b.ReportMetric(float64(oil.Updates()), "inline_retrains")
-}
-
-// BenchmarkOnlineILDecideAsync is the ISSUE 6 acceptance probe: an
-// async-mode decide that aggregates every call into a saturated queue — a
-// retrain's worth of samples is permanently pending, the exact condition
-// that used to fire the inline retrain — must stay at pure
-// candidate-evaluation cost with zero allocations, because training now
-// only happens on a worker. BenchmarkOnlineILDecideSyncRetrain is the
-// same scenario on the inline trainer; the gap between the two is the
-// latency the pipeline removed. p99_ns comes from a histogram over the
-// measured loop, so the tail is visible next to the mean. The CI
-// allocs/op gate covers this benchmark.
-func BenchmarkOnlineILDecideAsync(b *testing.B) {
-	s := study(b)
-	oil := s.FreshOnlineIL()
-	tr := oil.AsyncMode()
-	st := benchAggState(b, s, oil)
-	for i := 0; i < 40; i++ {
-		oil.Decide(st) // saturate: steady state is ingest-plus-drop-oldest
-	}
-	if tr.Buffered() != 4*oil.BufferCap || tr.Dropped() == 0 {
-		b.Fatalf("queue not saturated (buffered=%d dropped=%d)", tr.Buffered(), tr.Dropped())
-	}
-	var h metrics.Histogram
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		oil.Decide(st)
-		h.Observe(time.Since(t0).Seconds())
-	}
-	b.StopTimer()
-	b.ReportMetric(h.Quantile(0.99)*1e9, "p99_ns")
-	if oil.Updates() != 0 {
-		b.Fatal("async decide trained inline")
-	}
-}
-
-// BenchmarkOnlineILDecideDuringSwaps measures the same decide loop while a
-// background worker continuously drains and republishes the policy — the
-// forced-retrain scenario end to end. swaps reports how many snapshot
-// publications the loop absorbed. Not part of the alloc gate: the worker's
-// copy-on-write clones are real allocations, and how many land inside the
-// timed window depends on scheduling.
-func BenchmarkOnlineILDecideDuringSwaps(b *testing.B) {
-	s := study(b)
-	oil := s.FreshOnlineIL()
-	tr := oil.AsyncMode()
-	st := benchAggState(b, s, oil)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if tr.Ready() {
-				tr.TrainOn(tr.Drain(), nil)
-			} else {
-				runtime.Gosched()
-			}
-		}
-	}()
-	var h metrics.Histogram
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		oil.Decide(st)
-		h.Observe(time.Since(t0).Seconds())
-	}
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	b.ReportMetric(h.Quantile(0.99)*1e9, "p99_ns")
-	b.ReportMetric(float64(tr.Updates()), "swaps")
 }
 
 func BenchmarkPolicyInference(b *testing.B) {
@@ -569,8 +489,9 @@ var servedRetrain struct {
 // batch executed at the configuration the previous batch returned,
 // starting from the daemon's session start — through an inline-training
 // online-IL learner on the serving bootstrap policy, in a session's
-// decide-then-observe order. After warmRetrains retrains it collects the
-// next retrain's 8 aggregated samples.
+// decide-then-observe order. After warmRetrains retrains it stops training
+// and, once a buffer's worth more has queued (checked after every 8
+// records), keeps the newest buffer's worth as the retrain batch.
 func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 	b.Helper()
 	const warmRetrains, snippets, records = 64, 48, 8
@@ -586,14 +507,22 @@ func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 		app.Snippets = app.Snippets[:snippets]
 		cfg := soc.Config{LittleFreqIdx: len(p.LittleOPPs) / 2, BigFreqIdx: len(p.BigOPPs) / 2, NLittle: 4, NBig: 2}
 		var prev control.State
-		var tr *il.Trainer
+		capturing, batch := false, oil.BufferCap
 		for pos := 0; ; {
 			var next soc.Config
 			for r := 0; r < records; r++ {
 				sn := app.Snippets[pos%snippets]
 				res := p.Execute(sn, cfg)
 				st := control.State{Counters: res.Counters, Derived: res.Counters.Derived(), Config: cfg, Threads: sn.Threads}
-				next = p.Clamp(oil.Decide(st))
+				queued := oil.Trainer().Buffered()
+				best := oil.Decide(st)
+				next = p.Clamp(best)
+				if capturing && oil.Trainer().Buffered() > queued {
+					// Decide queued the state's features labelled with best.
+					x := make([]float64, control.NumFeatures)
+					sr.xs = append(sr.xs, oil.Policy().Scaler.TransformInto(x, st.AppendFeatures(nil, p)))
+					sr.ys = append(sr.ys, p.AppendFeatures(nil, best))
+				}
 				if pos > 0 {
 					oil.Observe(prev, cfg, res, st)
 				}
@@ -601,19 +530,14 @@ func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 				pos++
 			}
 			cfg = next
-			if tr == nil && oil.Updates() >= warmRetrains {
-				// Capture the next batch instead of training on it: the newest
-				// buffer's worth queued from here on.
-				tr = oil.AsyncMode()
-				tr.Drain()
+			if !capturing && oil.Updates() >= warmRetrains {
+				// Capture the next batch instead of training on it: with a
+				// BufferCap no queue reaches, Ingest only queues.
+				capturing = true
+				oil.BufferCap = 1 << 20
 			}
-			if tr != nil && tr.Ready() {
-				batch := tr.Drain()
-				for _, s := range batch[len(batch)-oil.BufferCap:] {
-					x := make([]float64, len(s.X))
-					sr.xs = append(sr.xs, oil.Policy().Scaler.TransformInto(x, s.X[:]))
-					sr.ys = append(sr.ys, append([]float64(nil), s.Y[:]...))
-				}
+			if n := len(sr.xs); n >= batch {
+				sr.xs, sr.ys = sr.xs[n-batch:], sr.ys[n-batch:]
 				break
 			}
 		}

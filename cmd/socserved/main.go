@@ -104,8 +104,6 @@ func main() {
 	shards := flag.Int("shards", 0, "session-registry shard count, rounded up to a power of two (0 = sized from GOMAXPROCS)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060); empty = disabled")
 	online := flag.Bool("online", true, "warm-start online models at boot so sessions may use policy online-il")
-	trainWorkers := flag.Int("train-workers", 1, "background policy-training workers for online-il sessions; 0 = retrain inline in the decide path")
-	crossBatch := flag.Int("cross-batch", 0, "cross-session samples mixed into each background retrain (0 = per-session experience only)")
 	replay := flag.Int("replay", 0, "load-replay mode: drive this many synthetic clients and exit")
 	replaySteps := flag.Int("replay-steps", 200, "steps per replay client")
 	replayBatch := flag.Int("replay-batch", 1, "telemetry records per replay step request")
@@ -199,13 +197,6 @@ func main() {
 	if *replayDirect && *replay == 0 {
 		fail("-replay-direct needs -replay")
 	}
-	if *trainWorkers < 0 || *crossBatch < 0 {
-		fail("training flags must be non-negative (-train-workers %d -cross-batch %d)",
-			*trainWorkers, *crossBatch)
-	}
-	if *crossBatch > 0 && *trainWorkers == 0 {
-		fail("-cross-batch needs -train-workers")
-	}
 
 	p := soc.NewXU3()
 	var store *serve.PolicyStore
@@ -240,8 +231,6 @@ func main() {
 		MaxSessions:   *maxSessions,
 		Shards:        *shards,
 		SeedBase:      *seed,
-		TrainWorkers:  *trainWorkers,
-		CrossBatch:    *crossBatch,
 		StepInflight:  *maxInflight,
 		StepQueue:     *maxQueue,
 		StepQueueWait: *queueWait,
@@ -252,10 +241,6 @@ func main() {
 		log.Printf("warm-started online models in %v", time.Since(t0).Round(time.Millisecond))
 	}
 	srv := serve.New(opt)
-	defer srv.Close()
-	if *trainWorkers > 0 {
-		log.Printf("async training: %d workers (cross-batch %d)", *trainWorkers, *crossBatch)
-	}
 
 	var handler http.Handler = srv.Handler()
 	var drainer *cluster.Drainer

@@ -48,7 +48,7 @@ type DrainReport struct {
 }
 
 // Drain stops admission and streams every session to the ready peers. Each
-// session is detached (removed + quiesced + snapshotted in one step — the
+// session is detached (removed + closed + snapshotted in one step — the
 // per-session handoff lock), handed off to its ring owner among the targets
 // or the next one that takes it, and re-imported locally if every target
 // refuses, so a drain never loses a session silently. A target that already

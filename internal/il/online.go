@@ -1,8 +1,6 @@
 package il
 
 import (
-	"sync/atomic"
-
 	"socrm/internal/control"
 	"socrm/internal/soc"
 )
@@ -13,11 +11,10 @@ import (
 // the adaptive analytical models; the best candidate becomes (a) the
 // executed configuration and (b) the runtime approximation of the Oracle
 // that supervises the policy. Labeled states aggregate in the learner's
-// Trainer, which re-trains the neural policy with back-propagation each
-// time a buffer's worth has queued: inline in Decide by default (the
-// paper's pipeline), or on a background worker after AsyncMode, which
-// publishes the retrained policy by atomic snapshot swap so Decide never
-// blocks on training. Both modes run the same retrain.
+// Trainer, which re-trains the neural policy in place with
+// back-propagation inside the Decide that queues a buffer's worth — the
+// paper's pipeline. An OnlineIL is not safe for concurrent use: a served
+// session calls it under the session lock.
 type OnlineIL struct {
 	P      *soc.Platform
 	Models *OnlineModels
@@ -40,22 +37,16 @@ type OnlineIL struct {
 	// the historical single-learner behaviour.
 	Seed int64
 
-	// pol is the policy snapshot the decide path reads. An inline trainer
-	// trains it in place (single-goroutine contract, as always); a detached
-	// one treats the loaded snapshot as immutable and swaps in freshly
-	// trained copies, so a concurrent Decide either sees the old policy or
-	// the new one, never a half-trained network.
-	pol     atomic.Pointer[MLPPolicy]
+	// pol is the policy the decide path reads and the trainer trains in
+	// place.
+	pol     *MLPPolicy
 	trainer *Trainer
 
 	decisions int
 
 	// Decision-path scratch, reused across calls so a steady-state Decide
 	// allocates nothing: the state feature vector, the aggregation label
-	// and the per-decision model evaluator. Decide was never safe to call
-	// from two goroutines; this keeps that contract load-bearing (a
-	// detached trainer only moves training off the decide goroutine, not
-	// decisions themselves).
+	// and the per-decision model evaluator.
 	featBuf []float64
 	labBuf  []float64
 	ev      *Evaluator
@@ -86,8 +77,8 @@ func NewOnlineILSeeded(p *soc.Platform, policy *MLPPolicy, models *OnlineModels,
 		Momentum:  0.9,
 		Warmup:    2,
 		Seed:      seed,
+		pol:       policy,
 	}
-	o.pol.Store(policy)
 	o.trainer = &Trainer{o: o}
 	return o
 }
@@ -95,10 +86,8 @@ func NewOnlineILSeeded(p *soc.Platform, policy *MLPPolicy, models *OnlineModels,
 // Name implements control.Decider.
 func (o *OnlineIL) Name() string { return "online-il" }
 
-// Policy returns the current policy snapshot. With a detached trainer
-// successive calls may return different snapshots as background retrains
-// publish.
-func (o *OnlineIL) Policy() *MLPPolicy { return o.pol.Load() }
+// Policy returns the learner's policy, which each retrain updates in place.
+func (o *OnlineIL) Policy() *MLPPolicy { return o.pol }
 
 // Trainer returns the learner's training side.
 func (o *OnlineIL) Trainer() *Trainer { return o.trainer }
@@ -107,17 +96,15 @@ func (o *OnlineIL) Trainer() *Trainer { return o.trainer }
 // whose agreement with the Oracle Figure 3 tracks over time.
 func (o *OnlineIL) PolicyConfig(st control.State) soc.Config {
 	o.featBuf = st.AppendFeatures(o.featBuf[:0], o.P)
-	return o.pol.Load().PredictConfig(o.featBuf)
+	return o.pol.PredictConfig(o.featBuf)
 }
 
 // Decide implements control.Decider: model-guided candidate selection plus
 // DAgger-style data aggregation. Steady-state decisions are allocation-free:
 // the evaluator sweeps the candidate neighborhood in place (Evaluator.Best)
 // without materializing it, feature vectors and model scratch are reused
-// buffers, and the CPI predictions are memoized per frequency pair.
-// Training happens through the Trainer — inline by default, on a
-// background worker after AsyncMode, where this path never grows a latency
-// tail beyond the candidate sweep.
+// buffers, and the CPI predictions are memoized per frequency pair. Every
+// BufferCap-th aggregated decision also pays the Trainer's retrain.
 func (o *OnlineIL) Decide(st control.State) soc.Config {
 	o.decisions++
 	polCfg := o.PolicyConfig(st)
@@ -138,8 +125,7 @@ func (o *OnlineIL) Decide(st control.State) soc.Config {
 	}
 
 	// Aggregate the model-labeled sample through the trainer (which
-	// retrains when a buffer's worth has accumulated — inline or in the
-	// background depending on its mode). Transitional decisions — where
+	// retrains when a buffer's worth has accumulated). Transitional decisions — where
 	// the candidate argmin sits on the neighborhood boundary, meaning the
 	// true optimum is still outside the search radius — would teach the
 	// policy way-points rather than destinations, so they are not
@@ -185,7 +171,7 @@ func (o *OnlineIL) BufferBytes() int {
 // Observe implements control.Observer: every executed snippet updates the
 // analytical models with its measured counters and power. Model updates are
 // cheap RLS rank-one steps that the very next decision's candidate sweep
-// needs, so they stay on the decide path in both modes.
+// needs.
 func (o *OnlineIL) Observe(_ control.State, _ soc.Config, _ soc.Result, next control.State) {
 	o.Models.Update(next)
 }

@@ -136,27 +136,11 @@ func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error)
 // encodeTrainerState writes the trainer's wire shape: how many incremental
 // updates have been published (the per-update seed schedule depends on it),
 // how many samples backpressure has shed, and every sample queued but not
-// yet trained on, oldest first. Inline and detached trainers share it, so a
-// session may migrate between an inline and a detached backend.
+// yet trained on, oldest first.
 func encodeTrainerState(e *snap.Encoder, t *Trainer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.encodeLocked(e)
-}
-
-// encodeLocked is encodeTrainerState with t.mu held. A detached retrain's
-// drained batch counts as queued ahead of the ring until TrainOn publishes
-// it; where batch and ring together pass the ring's capacity, the batch's
-// oldest samples are written as dropped, as Ingest would have dropped them.
-func (t *Trainer) encodeLocked(e *snap.Encoder) {
-	over := min(max(t.inflight+t.n-ringBuffers*t.o.BufferCap, 0), t.inflight)
-	e.I64(t.updates.Load())
-	e.U64(t.dropped + uint64(over))
-	e.U32(uint32(t.inflight + t.n - over))
-	for _, s := range t.take[over:t.inflight] {
-		e.F64s(s.X[:])
-		e.F64s(s.Y[:])
-	}
+	e.I64(t.updates)
+	e.U64(t.dropped)
+	e.U32(uint32(t.n))
 	for i := 0; i < t.n; i++ {
 		j := t.start + i
 		if j >= len(t.ring) {
@@ -168,8 +152,9 @@ func (t *Trainer) encodeLocked(e *snap.Encoder) {
 }
 
 // decodeTrainerState restores the wire shape into a fresh trainer. The
-// samples are queued without retraining, even a buffer's worth or more,
-// and an envelope queueing more than the ring holds is refused.
+// samples are queued without retraining, even a buffer's worth or more
+// (the next Ingest retrains on all of them), and an envelope queueing more
+// than the ring holds is refused.
 func decodeTrainerState(d *snap.Decoder, t *Trainer) error {
 	updates := d.I64()
 	dropped := d.U64()
@@ -183,7 +168,7 @@ func decodeTrainerState(d *snap.Decoder, t *Trainer) error {
 	if limit := ringBuffers * t.o.BufferCap; n > limit {
 		return fmt.Errorf("il: decoded %d queued samples, the experience queue holds %d", n, limit)
 	}
-	t.updates.Store(updates)
+	t.updates = updates
 	t.dropped = dropped
 	for i := 0; i < n; i++ {
 		s := t.slot()
@@ -208,18 +193,12 @@ func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 	e.Int(o.Warmup)
 	e.I64(o.Seed)
 	e.Int(o.decisions)
-	// The trainer lock keeps a detached retrain's publish out of the encode,
-	// so the policy, the update count and the queue come from one side of it.
-	o.trainer.mu.Lock()
-	defer o.trainer.mu.Unlock()
-	o.pol.Load().EncodeTo(e)
+	o.pol.EncodeTo(e)
 	o.Models.EncodeTo(e)
-	o.trainer.encodeLocked(e)
+	encodeTrainerState(e, o.trainer)
 }
 
-// DecodeOnlineILState reconstructs a learner written by EncodeStateTo, with
-// an inline trainer; a server that trains in the background detaches it
-// with AsyncMode.
+// DecodeOnlineILState reconstructs a learner written by EncodeStateTo.
 func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	radius := d.Int()
 	bufferCap := d.Int()

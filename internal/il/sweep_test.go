@@ -10,11 +10,17 @@ import (
 	"socrm/internal/workload"
 )
 
-// recorded drains a detached learner's queue into rec after a decision,
-// so the learner keeps its policy, its ring never drops, and the test sees
+// recorded moves what o's trainer queued into rec, oldest first, and
+// empties the ring after a decision, so the learner never reaches a
+// retrain and keeps its policy, its ring never drops, and the test sees
 // exactly what Decide labelled.
 func recorded(rec []Sample, o *OnlineIL) []Sample {
-	return append(rec, o.Trainer().Drain()...)
+	t := o.trainer
+	for i := 0; i < t.n; i++ {
+		rec = append(rec, t.ring[(t.start+i)%len(t.ring)])
+	}
+	t.start, t.n = 0, 0
+	return rec
 }
 
 // refDecide is OnlineIL.Decide written over the materialized candidate
@@ -94,8 +100,6 @@ func TestDecideSweepMatchesReference(t *testing.T) {
 	for v, models := range []*OnlineModels{base.Models.Clone(), tieModels, nanModels} {
 		got := NewOnlineIL(p, base.Policy(), models)
 		ref := NewOnlineIL(p, base.Policy(), models)
-		got.AsyncMode()
-		ref.AsyncMode()
 		var gotRec, refRec []Sample
 		refEv := models.NewEvaluator()
 		for i := 0; i < 400; i++ {

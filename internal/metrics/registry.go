@@ -79,9 +79,6 @@ type Meter struct {
 // Inc adds one.
 func (m *Meter) Inc() { m.c.Inc() }
 
-// Add increases the meter; negative deltas are ignored.
-func (m *Meter) Add(v float64) { m.c.Add(v) }
-
 // Value returns the monotonic total.
 func (m *Meter) Value() float64 { return m.c.Value() }
 

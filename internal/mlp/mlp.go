@@ -412,15 +412,3 @@ func (n *Network) Clone() *Network {
 	}
 	return c
 }
-
-// CloneWithMomentum is Clone carrying the SGD momentum over as well, so
-// training the copy continues the source's optimizer trajectory exactly as
-// training the source in place would.
-func (n *Network) CloneWithMomentum() *Network {
-	c := n.Clone()
-	for l := range n.mW {
-		copy(c.mW[l], n.mW[l])
-		copy(c.mB[l], n.mB[l])
-	}
-	return c
-}

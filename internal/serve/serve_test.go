@@ -155,6 +155,56 @@ func TestCreateRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+// countingReader serves n bytes of a JSON create body, {"policy":"aaa…"},
+// and counts how many a reader took.
+type countingReader struct {
+	n, read int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	const head, tail = `{"policy":"`, `"}`
+	if r.read >= r.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n-r.read)
+	for i := range p[:k] {
+		switch off := r.read + i; {
+		case off < len(head):
+			p[i] = head[off]
+		case off >= r.n-len(tail):
+			p[i] = tail[off-(r.n-len(tail))]
+		default:
+			p[i] = 'a'
+		}
+	}
+	r.read += k
+	return k, nil
+}
+
+// TestCreateBodyBounded: POST /v1/sessions reads at most maxStepBody + 1
+// bytes of a body and answers 413 past the bound, without echoing the body.
+func TestCreateBodyBounded(t *testing.T) {
+	srv := New(Options{})
+	body := &countingReader{n: 9 << 20}
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sessions", body))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("9 MiB create body: status %d, want 413", w.Code)
+	}
+	if body.read > maxStepBody+1 {
+		t.Fatalf("handler read %d bytes of the body, want at most %d", body.read, maxStepBody+1)
+	}
+	if w.Body.Len() > 1<<10 {
+		t.Fatalf("413 response carries %d bytes", w.Body.Len())
+	}
+	// A body inside the bound still creates.
+	w = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"policy":"ondemand"}`)))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("small create body: status %d, want 201", w.Code)
+	}
+}
+
 func TestGovernorOnlyServer(t *testing.T) {
 	// Without a policy store the daemon still serves heuristic governors
 	// but refuses IL policies with a diagnosable error.
@@ -527,5 +577,85 @@ func TestStepDoesNotBlockOnStreamingBody(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("step handler blocked reading past the decoded value on a streaming body")
+	}
+}
+
+// TestReadyz covers the readiness gate: ready when serving normally, not
+// ready before a policy is loaded, and liveness independent of both.
+func TestReadyz(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	resp, err := ts.Client().Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ready server: /readyz = %d, want 200", resp.StatusCode)
+	}
+	// /healthz stays pure liveness, independent of readiness conditions.
+	resp, err = ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz = %d, want 200", resp.StatusCode)
+	}
+
+	// A store that never loaded must fail readiness (but not liveness).
+	cold := New(Options{Platform: soc.NewXU3(), Store: NewPolicyStore("missing.json", soc.NewXU3())})
+	w := httptest.NewRecorder()
+	cold.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("unloaded store: /readyz = %d, want 503", w.Code)
+	}
+	w = httptest.NewRecorder()
+	cold.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("unloaded store: /healthz = %d, want 200", w.Code)
+	}
+}
+
+// TestBatchStatusCodes pins the enum outcomes of the fleet-tick endpoint:
+// zero/absent status for stepped entries, StepNoSession with the constant
+// error text for unknown ids, StepRejected when the session refuses.
+func TestBatchStatusCodes(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	created, err := srv.CreateSession(CreateRequest{Policy: PolicyOfflineIL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closedSess, err := srv.CreateSession(CreateRequest{Policy: PolicyOfflineIL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mark the session closed without removing it — the in-registry refusal
+	// a client racing a delete would see — so the entry exercises
+	// StepRejected rather than StepNoSession.
+	srv.sessions.get(closedSess.ID).close()
+	p := soc.NewXU3()
+	app := workload.MiBench(4)[0]
+	cfg := p.Clamp(created.Start)
+	res := p.Execute(app.Snippets[0], cfg)
+	tel := StepTelemetry{Counters: res.Counters, Config: cfg, Threads: 1}
+	results := srv.StepBatch([]BatchEntry{
+		{Session: SessionRef(created.ID), Steps: []StepTelemetry{tel}},
+		{Session: SessionRef("s-ghost"), Steps: []StepTelemetry{tel}},
+		{Session: SessionRef(closedSess.ID), Steps: []StepTelemetry{tel}},
+	}, nil)
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
+	}
+	if results[0].Status != StepOK || results[0].Error != "" || results[0].Session != created.ID {
+		t.Fatalf("live entry: %+v, want StepOK with interned id", results[0])
+	}
+	if results[1].Status != StepNoSession || results[1].Error != StepNoSession.Text() || results[1].Session != "s-ghost" {
+		t.Fatalf("ghost entry: %+v, want StepNoSession %q", results[1], StepNoSession.Text())
+	}
+	if results[2].Status != StepRejected || results[2].Error == "" {
+		t.Fatalf("closed entry: %+v, want StepRejected with detail", results[2])
+	}
+	if StepStatus(200).Text() != "unknown status" {
+		t.Fatal("out-of-range status must not panic")
 	}
 }

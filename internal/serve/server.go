@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,19 +41,6 @@ type Options struct {
 	// SeedBase decorrelates per-session learners: session n trains with
 	// seed SeedBase+n unless the create request carries an explicit seed.
 	SeedBase int64
-	// TrainWorkers > 0 hands online-IL retrains to this many background
-	// workers (il.OnlineIL.AsyncMode: the learner only queues, a worker
-	// retrains a copy and publishes it by atomic snapshot swap). 0 keeps
-	// the learner retraining inline in Decide, bit-identical to the
-	// experiment loops. For the same samples at the same cadence the two
-	// give the same policy.
-	TrainWorkers int
-	// CrossBatch mixes up to this many recent samples from other sessions
-	// into each background retrain — fleet-wide experience sharing. 0
-	// keeps every learner trained on its own experience only (the
-	// per-session semantics of inline training). Only meaningful with
-	// TrainWorkers > 0.
-	CrossBatch int
 	// StepInflight bounds concurrently admitted step/batch HTTP requests
 	// (0 = unlimited). Beyond it, up to StepQueue requests wait briefly;
 	// everything else is shed with 429 + Retry-After instead of queueing
@@ -105,10 +93,6 @@ type Server struct {
 	// limiter sheds step/batch requests beyond the admission bound; nil
 	// admits everything (standalone default).
 	limiter *Limiter
-
-	// trainers is the background training pool; nil when learners train
-	// inline.
-	trainers *trainerPool
 
 	reg               *metrics.Registry
 	mSessionsActive   *metrics.Gauge
@@ -186,26 +170,13 @@ func New(opt Options) *Server {
 			Name:     "socserved_step",
 		})
 	}
-	if opt.TrainWorkers > 0 {
-		// The pool queue holds sessions awaiting a retrain; a quarter of
-		// the session cap queued means training is drowning, which is
-		// exactly what /readyz and the deferred counter surface.
-		queueCap := opt.MaxSessions / 4
-		if queueCap < 16 {
-			queueCap = 16
-		}
-		srv.trainers = newTrainerPool(opt.TrainWorkers, queueCap, opt.CrossBatch, reg)
-	}
 	return srv
 }
 
-// Close stops the background training workers (a no-op when learners
-// train inline). Sessions stay usable; their samples just stay queued.
-func (s *Server) Close() {
-	if s.trainers != nil {
-		s.trainers.close()
-	}
-}
+// Close releases nothing. Online learners retrain inline on the goroutine
+// that steps them, so a Server holds no training workers; Close stays so
+// that embedders which pair New with Close keep compiling.
+func (s *Server) Close() {}
 
 // Reload hot-swaps the persisted policy for new sessions. Both the
 // /admin/reload endpoint and the daemon's SIGHUP handler land here so the
@@ -351,7 +322,7 @@ func (s *Server) CreateSession(req CreateRequest) (CreateResponse, error) {
 	if err != nil {
 		return CreateResponse{}, apiErrorf(http.StatusBadRequest, "%v", err)
 	}
-	sess := &Session{ID: name, Policy: req.Policy, dec: dec, trainer: s.detach(dec)}
+	sess := &Session{ID: name, Policy: req.Policy, dec: dec}
 	sess.setEpoch(1) // first ownership generation; every handoff bumps it
 	sess.lastCfg = s.defaultStart()
 	switch s.sessions.insert(sess) {
@@ -383,7 +354,6 @@ func (s *Server) stepSession(sess *Session, t *StepTelemetry) (soc.Config, error
 	s.mLatency.Observe(time.Since(start).Seconds())
 	s.mSteps.Inc()
 	s.mEnergy.Add(t.EnergyJ)
-	s.maybeScheduleTraining(sess)
 	return cfg, nil
 }
 
@@ -515,7 +485,6 @@ func (s *Server) CloseSession(id string) (SessionInfo, error) {
 		return SessionInfo{}, apiErrorf(http.StatusNotFound, "no session %q", id)
 	}
 	sess.close()
-	s.accountDropped(sess)
 	s.mSessionsClosed.Inc()
 	s.mSessionsActive.Add(-1)
 	return sess.info(), nil
@@ -558,9 +527,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleReady is the load-balancer readiness probe: liveness (/healthz)
-// says the process responds, readiness says it can usefully take traffic —
-// a persisted policy is loaded (when one is configured) and background
-// training is not drowning in backlog.
+// says the process responds, readiness says it can usefully take traffic:
+// it is not draining or recovering, and a persisted policy is loaded (when
+// one is configured).
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -572,10 +541,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.store != nil && s.store.Generation() == 0 {
 		http.Error(w, "policy not loaded", http.StatusServiceUnavailable)
-		return
-	}
-	if s.trainers != nil && s.trainers.backlogged() {
-		http.Error(w, "training backlog", http.StatusServiceUnavailable)
 		return
 	}
 	fmt.Fprintln(w, "ready")
@@ -612,7 +577,12 @@ type CreateResponse struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxStepBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", maxStepBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -1042,9 +1012,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		updates += sess.info().Updates
 	}
 	s.mPolicyUpdates.Set(float64(updates))
-	if s.trainers != nil {
-		s.trainers.mDepth.Set(float64(len(s.trainers.queue)))
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WriteProm(w)
 }

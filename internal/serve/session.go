@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"socrm/internal/control"
 	"socrm/internal/counters"
@@ -45,17 +44,6 @@ type Session struct {
 	// the epoch without a per-request allocation.
 	epoch    uint64
 	epochHdr []string
-
-	// trainer is non-nil when the session's online learner is detached:
-	// the step path polls it for readiness and the server's trainer pool
-	// drains it in the background. trainPending dedupes scheduling (a ready
-	// session sits in the pool queue at most once; it is claimed under mu,
-	// released by the worker after publishing); trainQueuedAt timestamps
-	// the handoff for the train-lag histogram. Training itself runs outside
-	// the session mutex — it never serializes with stepping.
-	trainer       *il.Trainer
-	trainPending  atomic.Bool
-	trainQueuedAt atomic.Int64
 
 	mu       sync.Mutex
 	dec      control.Decider

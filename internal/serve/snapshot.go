@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"socrm/internal/control"
 	"socrm/internal/governor"
@@ -180,9 +179,8 @@ func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider,
 }
 
 // ExportSession snapshots a live session without disturbing it. The session
-// keeps serving afterwards; for a migration-consistent snapshot of an
-// async-training session use DetachSession, which quiesces background
-// retrains first.
+// keeps serving afterwards; for a migration use DetachSession, which also
+// closes the session so no step lands after the snapshot.
 func (s *Server) ExportSession(id string) ([]byte, error) {
 	sess := s.sessions.get(id)
 	if sess == nil {
@@ -203,23 +201,17 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 // export half of a handoff. The sequence is the per-session handoff lock:
 // remove from the registry (no new lookups resolve the id), mark the
 // session closed (a step already holding the pointer fails cleanly and the
-// caller retries against the new owner, and no retrain can be scheduled
-// any more), wait out a background retrain already scheduled, then encode.
+// caller retries against the new owner), then encode.
 func (s *Server) DetachSession(id string) ([]byte, error) {
 	sess := s.sessions.remove(id)
 	if sess == nil {
 		return nil, apiErrorf(http.StatusNotFound, "no session %q", id)
 	}
 	sess.close()
-	// A worker holds trainPending until it has published its retrain.
-	for sess.trainPending.Load() {
-		time.Sleep(50 * time.Microsecond)
-	}
 	var e snap.Encoder
 	sess.mu.Lock()
 	err := s.encodeSessionLocked(sess, &e)
 	sess.mu.Unlock()
-	s.accountDropped(sess)
 	s.mSessionsActive.Add(-1)
 	if err != nil {
 		// The session is gone either way — exporting an unsnapshottable
@@ -286,18 +278,17 @@ func (s *Server) fenceLive(cur *Session) {
 		return
 	}
 	removed.close()
-	s.accountDropped(removed)
 	s.raiseFence(removed.ID, removed.epoch)
 	s.mSessionsFenced.Inc()
 	s.mSessionsActive.Add(-1)
 }
 
 // ImportSession restores a session from a snapshot produced by
-// ExportSession/DetachSession, under this server's training mode. The
-// restored session answers its next step exactly as the source would have.
-// The direct call accepts even while draining — it is the recovery path
-// when a drain's handoff fails and the session must come back home; the
-// HTTP handler is what refuses remote imports during a drain.
+// ExportSession/DetachSession. The restored session answers its next step
+// exactly as the source would have. The direct call accepts even while
+// draining — it is the recovery path when a drain's handoff fails and the
+// session must come back home; the HTTP handler is what refuses remote
+// imports during a drain.
 //
 // Every import is an ownership transfer, so the restored session lives at
 // the snapshot's epoch + 1 and the local fence is raised to that epoch:
@@ -360,7 +351,6 @@ func (s *Server) ImportSession(data []byte) (CreateResponse, error) {
 			"snapshot carries %d trailing bytes", d.Remaining())
 	}
 	sess.dec = dec
-	sess.trainer = s.detach(dec)
 	for attempt := 0; ; attempt++ {
 		switch s.sessions.insert(sess) {
 		case insertDup:

@@ -87,16 +87,14 @@ n1="$(count $((RP+1)))"
 sleep 1
 
 # This phase carried no overload, so nothing may have been shed anywhere:
-# the replicator and trainer queue-drop meters (totals AND their
-# rate-per-second companions) must read zero on every backend. A nonzero
+# the replicator queue-drop meter (total AND its rate-per-second
+# companion) must read zero on every backend. A nonzero
 # here means backpressure fired under nominal load — a capacity bug, not
 # a chaos effect.
 for port in $((RP+1)) $((RP+2)); do
   curl -sf "http://127.0.0.1:$port/metrics" > "drops_$port.txt"
   for m in socserved_replica_queue_dropped_total \
-           socserved_replica_queue_dropped_rate_per_s \
-           socserved_train_dropped_experiences_total \
-           socserved_train_dropped_experiences_rate_per_s; do
+           socserved_replica_queue_dropped_rate_per_s; do
     v="$(grep "^$m " "drops_$port.txt" | awk '{print $2}')"
     [ "${v:-0}" = "0" ] || \
       { echo "backend :$port dropped under nominal load: $m=$v, want 0" >&2; exit 1; }
