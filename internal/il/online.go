@@ -125,11 +125,12 @@ func (o *OnlineIL) Decide(st control.State) soc.Config {
 	}
 
 	// Aggregate the model-labeled sample through the trainer (which
-	// retrains when a buffer's worth has accumulated). Transitional decisions — where
-	// the candidate argmin sits on the neighborhood boundary, meaning the
-	// true optimum is still outside the search radius — would teach the
-	// policy way-points rather than destinations, so they are not
-	// aggregated. featBuf still holds st's features from PolicyConfig.
+	// retrains when a buffer's worth has accumulated). Transitional
+	// decisions — where the candidate argmin sits on the neighborhood
+	// boundary, meaning the true optimum is still outside the search
+	// radius — would teach the policy way-points rather than destinations,
+	// so they are not aggregated. featBuf still holds st's features from
+	// PolicyConfig.
 	if o.interior(st.Config, best) {
 		o.labBuf = o.P.AppendFeatures(o.labBuf[:0], best)
 		o.trainer.Ingest(o.featBuf, o.labBuf)

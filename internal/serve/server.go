@@ -732,9 +732,10 @@ var stepScratchPool = sync.Pool{New: func() any { return &stepScratch{} }}
 // Header().Set would allocate. net/http treats header values as read-only.
 var contentTypeJSON = []string{"application/json"}
 
-// maxStepBody bounds step/batch request bodies. A full batch tick for a
-// thousand sessions is well under a megabyte; anything larger is a broken
-// or hostile client. The body buffer grows only as bytes arrive and is
+// maxStepBody bounds every request body the server reads: steps, batches,
+// creates, snapshots and replicas. A full batch tick for a thousand
+// sessions is well under a megabyte; anything larger is a broken or
+// hostile client. The body buffer grows only as bytes arrive and is
 // never sized from an attacker-controlled Content-Length.
 const maxStepBody = 8 << 20
 
