@@ -35,7 +35,6 @@ import (
 	"socrm/internal/experiments"
 	"socrm/internal/gpu"
 	"socrm/internal/il"
-	"socrm/internal/memo"
 	"socrm/internal/metrics"
 	"socrm/internal/mlp"
 	"socrm/internal/nmpc"
@@ -198,7 +197,7 @@ func BenchmarkAblationNeighborhood(b *testing.B) {
 func BenchmarkAblationHorizon(b *testing.B) {
 	var save5, save120 float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.CadenceAblation(42, []int{5, 120}, 0, nil)
+		pts, err := experiments.CadenceAblation(42, []int{5, 120}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1036,100 +1035,6 @@ func BenchmarkReplicaPush(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(data)), "snapshot_bytes")
 	b.ReportMetric(reg.Meter("socserved_replica_queue_dropped_total", "").Value(), "dropped")
-}
-
-// ---- PR10: content-keyed memoization benchmarks ----
-// The experiment cache (internal/memo) turns repeated oracle labeling,
-// policy training, and explicit-NMPC fits into content-keyed lookups.
-// These record the cold-vs-warm gap the ISSUE-10 acceptance demands:
-// cold_vs_warm_x >= 10 for study construction and warm_x >= 100 for a
-// revisited ablation grid.
-
-// BenchmarkNewStudyColdVsWarm builds the same study twice against a fresh
-// in-memory cache: the first pass labels and trains (and populates), the
-// second replays everything from the cache. cold_vs_warm_x is the ratio.
-func BenchmarkNewStudyColdVsWarm(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		cache, err := memo.New(memo.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt := experiments.Options{Seed: 42, MaxSnippets: 16, Workers: 1, Cache: cache}
-		t0 := time.Now()
-		if _, err := experiments.NewStudy(opt); err != nil {
-			b.Fatal(err)
-		}
-		cold := time.Since(t0)
-		t1 := time.Now()
-		if _, err := experiments.NewStudy(opt); err != nil {
-			b.Fatal(err)
-		}
-		warm := time.Since(t1)
-		ratio = cold.Seconds() / warm.Seconds()
-	}
-	b.ReportMetric(ratio, "cold_vs_warm_x")
-}
-
-// BenchmarkOracleLabelMemoized measures the warm memoized LabelAppWith —
-// the lookup every revisited sweep cell pays. It is on the CI allocs/op
-// gate: the warm path must stay at zero allocations (stack-hashed key,
-// shared cached slice).
-func BenchmarkOracleLabelMemoized(b *testing.B) {
-	cache, err := memo.New(memo.Options{Version: "bench"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	orc := oracle.NewNamed(soc.NewXU3(), oracle.ObjEnergy)
-	orc.Memo = cache
-	app := workload.MiBench(42)[0]
-	app.Snippets = app.Snippets[:8]
-	orc.LabelAppWith(app, 1) // cold fill
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		orc.LabelAppWith(app, 1)
-	}
-}
-
-// BenchmarkAblationGridWarm replays a labeling pass an ablation grid would
-// repeat per cell (two objectives across MiBench apps) against a warm
-// cache, and reports warm_x: one cold pass over one warm pass. Every grid
-// cell after the first runs warm, so warm_x is the per-cell speedup of a
-// cache-backed sweep.
-func BenchmarkAblationGridWarm(b *testing.B) {
-	cache, err := memo.New(memo.Options{Version: "bench-grid"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := soc.NewXU3()
-	apps := workload.MiBench(42)[:4]
-	for i := range apps {
-		apps[i].Snippets = apps[i].Snippets[:8]
-	}
-	oracles := make([]*oracle.Oracle, 0, 2)
-	for _, objName := range []string{oracle.ObjEnergy, oracle.ObjEDP} {
-		orc := oracle.NewNamed(p, objName)
-		orc.Memo = cache
-		oracles = append(oracles, orc)
-	}
-	pass := func() {
-		for _, orc := range oracles {
-			for _, app := range apps {
-				orc.LabelAppWith(app, 1)
-			}
-		}
-	}
-	t0 := time.Now()
-	pass() // cold: computes and populates
-	cold := time.Since(t0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pass()
-	}
-	b.StopTimer()
-	warm := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(cold.Seconds()/warm, "warm_x")
 }
 
 // ---- PR9: overload/degradation benchmarks ----

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	socrepro -exp all|fig2|tab2|fig3|fig4|fig5|scale [-seed N] [-snippets N] [-workers N]
-//	         [-csv dir] [-cache-dir dir] [-cache-mem MiB] [-cpuprofile f] [-memprofile f]
+//	socrepro -exp all|fig2|tab2|fig3|fig4|fig5 [-seed N] [-snippets N] [-workers N]
+//	         [-csv dir] [-cpuprofile f] [-memprofile f]
 //
 // -snippets caps the per-application snippet count (0 = paper-scale runs);
 // -workers bounds the experiment engine's worker pool (default NumCPU,
@@ -14,18 +14,10 @@
 // the run (see the Performance section of the README); profile the decision
 // hot path with e.g. `-exp fig4 -workers 1 -cpuprofile cpu.out`.
 //
-// -cache-dir enables the content-addressed experiment cache (oracle labels,
-// trained study policies, explicit-NMPC fits) backed by that directory:
-// rerunning any experiment with the same inputs replays from the cache with
-// bit-identical output. -cache-mem caps the in-memory tier (MiB) and also
-// enables memory-only caching without a directory. Cache statistics print
-// to stderr so stdout stays digest-comparable across runs.
-//
-// -exp scale runs the beyond-paper labeling sweep (not part of "all"):
-// -scale-snippets multiplies trace lengths, -scale-step refines the DVFS
-// lattice, -scale-objectives selects the oracle objectives. Cold it is
-// ~300x the paper's labeling work at the defaults; against a warm
-// -cache-dir it replays in seconds.
+// Every run computes from scratch: the Oracle labels, the offline IL
+// training and the explicit-NMPC surface fit. At paper scale the whole run
+// takes about 2 s serially and 1.5 s with two workers (see "Regenerating
+// the paper" in the README).
 package main
 
 import (
@@ -36,10 +28,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 
 	"socrm/internal/experiments"
-	"socrm/internal/memo"
 	"socrm/internal/metrics"
 )
 
@@ -104,17 +94,12 @@ func startProfiles(cpuPath, memPath string) func() {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig2, tab2, fig3, fig4, fig5, scale")
+	exp := flag.String("exp", "all", "experiment: all, fig2, tab2, fig3, fig4, fig5")
 	seed := flag.Int64("seed", 42, "experiment seed")
 	snippets := flag.Int("snippets", 0, "per-app snippet cap (0 = full)")
 	workers := flag.Int("workers", runtime.NumCPU(), "experiment-engine worker pool size (1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	cacheDir := flag.String("cache-dir", "", "experiment-cache directory (enables the on-disk tier; shared across runs)")
-	cacheMem := flag.Int64("cache-mem", 0, "in-memory cache budget in MiB; also enables memory-only caching without -cache-dir (0 = 256 when caching is on)")
-	scaleSnippets := flag.Int("scale-snippets", 10, "scale sweep: per-app snippet-count multiplier")
-	scaleStep := flag.Float64("scale-step", 25, "scale sweep: DVFS lattice step in MHz (100 = paper lattice)")
-	scaleObjectives := flag.String("scale-objectives", "energy,edp", "scale sweep: comma-separated oracle objectives")
 	flag.StringVar(&csvDir, "csv", "", "directory for raw CSV output (empty = none)")
 	flag.Parse()
 
@@ -129,22 +114,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "socrepro: -workers must be >= 0 (0 = all CPUs), got %d\n", *workers)
 		os.Exit(2)
 	}
-	if *cacheMem < 0 {
-		fmt.Fprintf(os.Stderr, "socrepro: -cache-mem must be >= 0 MiB, got %d\n", *cacheMem)
-		os.Exit(2)
-	}
-
-	var cache *memo.Cache
-	if *cacheDir != "" || *cacheMem > 0 {
-		var err error
-		cache, err = memo.New(memo.Options{Dir: *cacheDir, MaxBytes: *cacheMem << 20})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "socrepro:", err)
-			os.Exit(1)
-		}
-	}
-
-	opt := experiments.Options{Seed: *seed, MaxSnippets: *snippets, Workers: *workers, Cache: cache}
+	opt := experiments.Options{Seed: *seed, MaxSnippets: *snippets, Workers: *workers}
 	var study *experiments.Study
 	getStudy := func() *experiments.Study {
 		if study == nil {
@@ -163,18 +133,7 @@ func main() {
 		"tab2": func() { runTable2(getStudy()) },
 		"fig3": func() { runFig3(getStudy()) },
 		"fig4": func() { runFig4(getStudy()) },
-		"fig5": func() { runFig5(*seed, *workers, cache) },
-		"scale": func() {
-			runScale(experiments.ScaleOptions{
-				Seed:          *seed,
-				SnippetFactor: *scaleSnippets,
-				FreqStepMHz:   *scaleStep,
-				MaxSnippets:   *snippets,
-				Objectives:    splitObjectives(*scaleObjectives),
-				Workers:       *workers,
-				Cache:         cache,
-			})
-		},
+		"fig5": func() { runFig5(*seed, *workers) },
 	}
 	f, okExp := run[*exp]
 	if *exp != "all" && !okExp {
@@ -184,8 +143,6 @@ func main() {
 
 	stopProfiles := startProfiles(*cpuprofile, *memprofile)
 	if *exp == "all" {
-		// "scale" is deliberately excluded: cold it is orders of magnitude
-		// beyond a paper reproduction and must be asked for by name.
 		for _, name := range []string{"fig2", "tab2", "fig3", "fig4", "fig5"} {
 			run[name]()
 			fmt.Println()
@@ -194,22 +151,6 @@ func main() {
 		f()
 	}
 	stopProfiles()
-	if cache != nil {
-		// Stderr, not stdout: experiment output must stay byte-comparable
-		// between cold and warm runs (the CI cache smoke diffs it).
-		fmt.Fprintln(os.Stderr, "socrepro: cache stats:", cache.Stats())
-	}
-}
-
-// splitObjectives parses the -scale-objectives list, tolerating spaces.
-func splitObjectives(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 func runFig2(seed int64) {
@@ -304,12 +245,11 @@ func runFig4(s *experiments.Study) {
 	fmt.Printf("worst case: online-IL %.2fx, RL %.2fx (paper: IL ~1.0, RL up to 1.4x)\n", worstIL, worstRL)
 }
 
-func runFig5(seed int64, workers int, cache *memo.Cache) {
+func runFig5(seed int64, workers int) {
 	fmt.Println("=== Figure 5: explicit NMPC energy savings vs baseline ===")
 	opt := experiments.DefaultFig5Options()
 	opt.Seed = seed
 	opt.Workers = workers
-	opt.Cache = cache
 	res, err := experiments.Fig5(opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "socrepro:", err)
@@ -325,23 +265,4 @@ func runFig5(seed int64, workers int, cache *memo.Cache) {
 	t.AddRow(res.Average.App, 100*res.Average.GPUSavings, 100*res.Average.PKGSavings, 100*res.Average.PKGDRAMSav)
 	t.Render(os.Stdout)
 	fmt.Printf("performance overhead (deadline misses): %.2f%% (paper: 0.4%%)\n", 100*res.PerfOverhead)
-}
-
-func runScale(opt experiments.ScaleOptions) {
-	fmt.Println("=== Scale sweep: oracle labeling beyond paper scale ===")
-	res, err := experiments.ScaleSweep(opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "socrepro:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("apps: %d   snippets/objective: %d   configs/snippet: %d   labels: %d\n",
-		res.Apps, res.Snippets, res.Configs, res.Labels)
-	t := &metrics.Table{Header: []string{"Objective", "Energy(J)", "Time(s)", "Digest"}}
-	var rows [][]string
-	for _, o := range res.PerObjective {
-		t.AddRow(o.Objective, o.TotalEnergy, o.TotalTime, o.Digest)
-		rows = append(rows, []string{o.Objective, ftoa(o.TotalEnergy), ftoa(o.TotalTime), o.Digest})
-	}
-	t.Render(os.Stdout)
-	writeCSV("scale", []string{"objective", "total_energy_j", "total_time_s", "digest"}, rows)
 }

@@ -10,11 +10,9 @@
 // Policies: oracle, offline-il, offline-tree, online-il, rl, dqn,
 // ondemand, interactive, performance, powersave.
 //
-// -cache-dir points at a shared experiment cache: building the study
-// (oracle labels + trained offline policies) replays from it instead of
-// recomputing, with bit-identical results. -cache-mem caps the in-memory
-// tier (MiB) and enables memory-only caching on its own. Cache statistics
-// print to stderr; the result table on stdout is unaffected.
+// -snippets caps each application's snippet count (default 60, 0 = full).
+// Building the study (Oracle labels and the trained offline policies)
+// comes first and takes about a second at full scale.
 package main
 
 import (
@@ -27,7 +25,6 @@ import (
 	"socrm/internal/experiments"
 	"socrm/internal/governor"
 	"socrm/internal/il"
-	"socrm/internal/memo"
 	"socrm/internal/metrics"
 	"socrm/internal/workload"
 )
@@ -37,8 +34,6 @@ func main() {
 	policy := flag.String("policy", "online-il", "control policy")
 	seed := flag.Int64("seed", 42, "workload seed")
 	snippets := flag.Int("snippets", 60, "per-app snippet cap (0 = full)")
-	cacheDir := flag.String("cache-dir", "", "experiment-cache directory (enables the on-disk tier; shared across runs)")
-	cacheMem := flag.Int64("cache-mem", 0, "in-memory cache budget in MiB; also enables memory-only caching without -cache-dir (0 = 256 when caching is on)")
 	flag.Parse()
 
 	// Validate flags before any expensive work: an unknown policy must not
@@ -52,22 +47,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "socsim: unknown policy %q (want one of %v)\n", *policy, policyNames())
 		os.Exit(2)
 	}
-	if *cacheMem < 0 {
-		fmt.Fprintf(os.Stderr, "socsim: -cache-mem must be >= 0 MiB, got %d\n", *cacheMem)
-		os.Exit(2)
-	}
-
-	var cache *memo.Cache
-	if *cacheDir != "" || *cacheMem > 0 {
-		var err error
-		cache, err = memo.New(memo.Options{Dir: *cacheDir, MaxBytes: *cacheMem << 20})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "socsim:", err)
-			os.Exit(1)
-		}
-	}
-
-	study, err := experiments.NewStudy(experiments.Options{Seed: *seed, MaxSnippets: *snippets, Cache: cache})
+	study, err := experiments.NewStudy(experiments.Options{Seed: *seed, MaxSnippets: *snippets})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "socsim:", err)
 		os.Exit(1)
@@ -108,11 +88,6 @@ func main() {
 		t.AddRow(app.Name, dec.Name(), run.Energy, run.Time, run.Energy/orcE)
 	}
 	t.Render(os.Stdout)
-	if cache != nil {
-		// Stderr keeps the stdout table byte-comparable across cold and
-		// warm runs.
-		fmt.Fprintln(os.Stderr, "socsim: cache stats:", cache.Stats())
-	}
 }
 
 // policyMakers is the single source of truth for what -policy accepts:

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"socrm/internal/gpu"
-	"socrm/internal/memo"
 	"socrm/internal/nmpc"
 	"socrm/internal/workload"
 )
@@ -156,17 +155,15 @@ type CadencePoint struct {
 // pays reconfiguration energy and risks deadline misses; a too-slow one
 // leaves gating opportunity on the table. The device model and fitted
 // surfaces are read-only during runs, so the period grid runs on the
-// pool (workers: 0 = GOMAXPROCS, 1 = serial). The offline surface fit is
-// memoized through cache when non-nil (shared with Fig5 — same device,
-// same budget, same entry).
-func CadenceAblation(seed int64, periods []int, workers int, cache *memo.Cache) ([]CadencePoint, error) {
+// pool (workers: 0 = GOMAXPROCS, 1 = serial).
+func CadenceAblation(seed int64, periods []int, workers int) ([]CadencePoint, error) {
 	dev := gpu.NewIntelGen9()
 	trace := workload.Fig5Traces(30, seed)[0] // 3DMarkIceStorm: scene-heavy
 	budget := trace.Budget()
 	start := gpu.State{FreqIdx: len(dev.OPPs) / 2, Slices: dev.MaxSlices}
 	base := nmpc.RunTrace(dev, trace, nmpc.NewBaseline(dev), nmpc.RunOptions{Start: start})
 
-	ref, err := nmpc.FitExplicitCached(dev, budget, cache)
+	ref, err := nmpc.FitExplicitSurfaces(dev, budget)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -214,7 +215,7 @@ func TestForgettingAblation(t *testing.T) {
 }
 
 func TestCadenceAblation(t *testing.T) {
-	pts, err := CadenceAblation(42, []int{5, 120}, 0, nil)
+	pts, err := CadenceAblation(42, []int{5, 120}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,5 +281,26 @@ func TestGovernorsWorseThanOnlineIL(t *testing.T) {
 	}
 	if ond >= perf {
 		t.Fatalf("ondemand (%v) should beat performance (%v)", ond, perf)
+	}
+}
+
+func TestLabelsPanicsOnUnknownApp(t *testing.T) {
+	s := buildStudy(t, 1)
+	for _, probe := range []func(){
+		func() { s.Labels("NoSuchApp") },
+		func() { s.OracleEnergy("NoSuchApp") },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("unknown app name did not panic")
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "NoSuchApp") {
+					t.Fatalf("panic does not name the missing app: %v", r)
+				}
+			}()
+			probe()
+		}()
 	}
 }

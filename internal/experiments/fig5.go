@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"socrm/internal/gpu"
-	"socrm/internal/memo"
 	"socrm/internal/nmpc"
 	"socrm/internal/workload"
 )
@@ -34,9 +33,6 @@ type Fig5Options struct {
 	Temp float64 // platform temperature; the paper notes savings hold across thermal conditions
 	// Workers bounds the per-trace worker pool: 0 = GOMAXPROCS, 1 = serial.
 	Workers int
-	// Cache memoizes the offline phase (model warmup + explicit-surface
-	// fit) by device content and budget; nil computes directly.
-	Cache *memo.Cache
 }
 
 // DefaultFig5Options matches the reproduction defaults.
@@ -53,10 +49,9 @@ func Fig5(opt Fig5Options) (Fig5Result, error) {
 	traces := workload.Fig5Traces(opt.FPS, opt.Seed)
 	budget := traces[0].Budget()
 
-	// Offline phase: warm sensitivity models, sample the NMPC surface —
-	// memoized by (device content, budget) when a cache is attached. Only
+	// Offline phase: warm sensitivity models, sample the NMPC surface. Only
 	// the fitted surfaces are used below; every trace gets fresh models.
-	explicitRef, err := nmpc.FitExplicitCached(dev, budget, opt.Cache)
+	explicitRef, err := nmpc.FitExplicitSurfaces(dev, budget)
 	if err != nil {
 		return Fig5Result{}, fmt.Errorf("experiments: fitting explicit NMPC: %w", err)
 	}

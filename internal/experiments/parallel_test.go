@@ -103,11 +103,11 @@ func TestAblationDeterminismAcrossWorkers(t *testing.T) {
 	if s, p := ForgettingAblation(42, 1), ForgettingAblation(42, 8); !reflect.DeepEqual(s, p) {
 		t.Fatal("ForgettingAblation differs between worker counts")
 	}
-	s, err := CadenceAblation(42, []int{10, 60}, 1, nil)
+	s, err := CadenceAblation(42, []int{10, 60}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := CadenceAblation(42, []int{10, 60}, 8, nil)
+	p, err := CadenceAblation(42, []int{10, 60}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

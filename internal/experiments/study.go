@@ -12,7 +12,6 @@ import (
 
 	"socrm/internal/control"
 	"socrm/internal/il"
-	"socrm/internal/memo"
 	"socrm/internal/oracle"
 	"socrm/internal/regtree"
 	"socrm/internal/rl"
@@ -29,12 +28,6 @@ type Options struct {
 	// GOMAXPROCS, 1 is a fully serial reference path. Outputs are identical for
 	// any value — only wall-time changes.
 	Workers int
-	// Cache memoizes the expensive deterministic construction steps —
-	// Oracle label sweeps and offline policy training — through the
-	// content-addressed store. nil computes everything directly. Results
-	// are bit-identical with and without a cache (the golden-digest tests
-	// pin this), so the cache only changes wall-time.
-	Cache *memo.Cache
 }
 
 // workers returns the study's worker-pool bound (0 = GOMAXPROCS).
@@ -69,8 +62,7 @@ func NewStudy(opt Options) (*Study, error) {
 		Parsec:  truncate(workload.Parsec(opt.Seed), opt.MaxSnippets),
 		labels:  map[string][]oracle.Label{},
 	}
-	s.Orc = oracle.NewNamed(s.P, oracle.ObjEnergy)
-	s.Orc.Memo = opt.Cache
+	s.Orc = oracle.New(s.P, oracle.Energy)
 	// Oracle labeling is the expensive step (a full configuration-space
 	// sweep per snippet) and every application is independent, so it runs
 	// on the worker pool: one job per app. On machines with more cores
@@ -105,9 +97,9 @@ func NewStudy(opt Options) (*Study, error) {
 	return s, nil
 }
 
-// trainPoliciesDirect fits the offline MLP and tree policies from the
-// study's dataset — the uncached path.
-func (s *Study) trainPoliciesDirect() (*il.MLPPolicy, *il.TreePolicy, error) {
+// trainPolicies fits the offline MLP and tree policies from the study's
+// dataset.
+func (s *Study) trainPolicies() (*il.MLPPolicy, *il.TreePolicy, error) {
 	pol, err := il.TrainMLPPolicy(s.P, s.dataset, il.DefaultMLPOptions())
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: offline policy training: %w", err)

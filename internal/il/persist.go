@@ -10,8 +10,8 @@ import (
 
 // A policy file is what the offline training flow ships to the on-device
 // governor. It is a small binary envelope around the same payload session
-// snapshots and the experiment cache carry, so one decoder, with its shape
-// checks, reads a policy however it arrives:
+// snapshots carry, so one decoder, with its shape checks, reads a policy
+// however it arrives:
 //
 //	magic   u32  "SOCP"
 //	version u16  policyVersion

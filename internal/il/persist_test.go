@@ -134,9 +134,9 @@ func TestLoadRejectsNilScaler(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsBadShapes: every policy decoder — policy files, session
-// imports and the experiment cache all use it — refuses a policy whose
-// first decision would panic, instead of handing it to a session.
+// TestDecodeRejectsBadShapes: every policy decoder — policy files and
+// session imports both use it — refuses a policy whose first decision
+// would panic, instead of handing it to a session.
 func TestDecodeRejectsBadShapes(t *testing.T) {
 	_, mlpPol, treePol := trainedPolicies(t, 8)
 	p := mlpPol.P

@@ -64,6 +64,22 @@ func FitExplicit(dev *gpu.Device, models *GPUModels, budget float64) (*Explicit,
 	}, nil
 }
 
+// FitExplicitSurfaces runs the full offline phase on fresh models: warm
+// them at the budget, sample the NMPC optimizer and fit the control
+// surfaces. The result carries only the surfaces (Models is nil): Fig5 and
+// the cadence ablation read it as a read-only reference and attach their
+// own warmed models to each per-trace controller.
+func FitExplicitSurfaces(dev *gpu.Device, budget float64) (*Explicit, error) {
+	models := NewGPUModels(dev)
+	models.Warmup(budget)
+	ex, err := FitExplicit(dev, models, budget)
+	if err != nil {
+		return nil, err
+	}
+	ex.Models = nil
+	return ex, nil
+}
+
 func maxIntE(a, b int) int {
 	if a > b {
 		return a

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sync"
 
-	"socrm/internal/memo"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -23,25 +22,13 @@ type Objective func(soc.Result) float64
 // Energy minimizes energy consumption (the Table II objective).
 func Energy(r soc.Result) float64 { return r.Energy }
 
-// EDP minimizes the energy-delay product (performance-per-watt flavored
-// objective mentioned in Section IV-A1).
-func EDP(r soc.Result) float64 { return r.Energy * r.Time }
-
-// Oracle evaluates optimal configurations on a platform.
-//
-// Labeling sweeps are the single most expensive deterministic computation
-// in the repo (~4,940 Execute calls per snippet), so LabelApp/LabelAppWith
-// memoize through an optional content-addressed cache: set Memo (shared
-// across oracles, studies and — with a disk dir — runs) and build the
-// oracle via NewNamed so ObjName carries a hashable objective identity.
-// With Memo nil or ObjName empty, labeling computes directly, bit-identical
-// to the unmemoized path. Cached label slices are shared: callers must
-// treat []Label results as read-only (every current consumer does).
+// Oracle evaluates optimal configurations on a platform. Labeling an
+// application sweeps the whole configuration space for every snippet
+// (~4,940 Execute calls each), which is the most expensive deterministic
+// step of the reproduction; LabelAppWith spreads it over workers.
 type Oracle struct {
 	P       *soc.Platform
 	Obj     Objective
-	ObjName string      // canonical objective name ("energy", "edp"); keys the cache
-	Memo    *memo.Cache // optional label memoization; nil = always compute
 	configs []soc.Config
 }
 
@@ -88,28 +75,6 @@ func (o *Oracle) LabelApp(app workload.Application) []Label {
 // path. Labels are stored by snippet index, so the output is identical
 // for any worker count. workers <= 0 means GOMAXPROCS.
 func (o *Oracle) LabelAppWith(app workload.Application, workers int) []Label {
-	if o.Memo == nil || o.ObjName == "" {
-		return o.labelAppDirect(app, workers)
-	}
-	key := o.labelKey(app)
-	// Lookup first: the warm path must not build the Do closure (it is
-	// the allocation-free fast path the bench gate pins at 0 allocs/op).
-	if v, ok := o.Memo.Lookup(key); ok {
-		return v.([]Label)
-	}
-	v, err := o.Memo.Do(key, labelCodec{}, func() (any, error) {
-		return o.labelAppDirect(app, workers), nil
-	})
-	if err != nil {
-		// Unreachable today (compute never errors), but degrade to a
-		// direct sweep rather than fail the experiment.
-		return o.labelAppDirect(app, workers)
-	}
-	return v.([]Label)
-}
-
-// labelAppDirect is the uncached sweep.
-func (o *Oracle) labelAppDirect(app workload.Application, workers int) []Label {
 	labels := make([]Label, len(app.Snippets))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

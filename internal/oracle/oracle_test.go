@@ -58,6 +58,10 @@ func TestLabelAppMatchesBest(t *testing.T) {
 	}
 }
 
+// EDP minimizes the energy-delay product, the performance-per-watt
+// flavored objective Section IV-A1 mentions beside energy.
+func EDP(r soc.Result) float64 { return r.Energy * r.Time }
+
 func TestEDPPrefersFasterConfigs(t *testing.T) {
 	p := soc.NewXU3()
 	s := testSnippet()

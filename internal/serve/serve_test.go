@@ -146,12 +146,19 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsUnknownPolicy: an unknown policy is a 400 that names
+// it, and a huge name is quoted only by a short prefix.
 func TestCreateRejectsUnknownPolicy(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
-	err := call(ts.Client(), http.MethodPost, ts.URL+"/v1/sessions",
-		CreateRequest{Policy: "nope"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "unknown policy") {
-		t.Fatalf("err = %v, want unknown-policy rejection", err)
+	for _, name := range []string{"nope", strings.Repeat("a", 1<<20)} {
+		err := call(ts.Client(), http.MethodPost, ts.URL+"/v1/sessions",
+			CreateRequest{Policy: name}, nil)
+		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown policy") {
+			t.Fatalf("%d-byte name: err = %.200v, want a 400 unknown-policy rejection", len(name), err)
+		}
+		if n := len(err.Error()); n > 300 {
+			t.Fatalf("%d-byte name: the error is %d bytes, want the name quoted by a short prefix", len(name), n)
+		}
 	}
 }
 

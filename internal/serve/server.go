@@ -265,7 +265,21 @@ func (s *Server) newDecider(policy string, seed int64) (control.Decider, error) 
 	case "powersave":
 		return governor.Powersave{P: s.p}, nil
 	}
-	return nil, fmt.Errorf("unknown policy %q", policy)
+	return nil, fmt.Errorf("unknown policy %s", quoteBounded(policy))
+}
+
+// maxQuotedName bounds how much of a caller-supplied name an error quotes
+// back: a create body may carry megabytes of policy name, and the answer
+// must not echo them.
+const maxQuotedName = 64
+
+// quoteBounded is %q for names up to maxQuotedName bytes; a longer name is
+// quoted by its prefix, followed by its full length.
+func quoteBounded(name string) string {
+	if len(name) <= maxQuotedName {
+		return strconv.Quote(name)
+	}
+	return fmt.Sprintf("%q… (%d bytes)", name[:maxQuotedName], len(name))
 }
 
 // defaultStart is the neutral boot configuration handed to new sessions.

@@ -175,7 +175,7 @@ func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider,
 	case "powersave":
 		return governor.Powersave{P: s.p}, nil
 	}
-	return nil, fmt.Errorf("unknown policy %q", policy)
+	return nil, fmt.Errorf("unknown policy %s", quoteBounded(policy))
 }
 
 // ExportSession snapshots a live session without disturbing it. The session

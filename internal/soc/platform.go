@@ -81,23 +81,13 @@ type Platform struct {
 	Temp float64 // Celsius, settable by a thermal loop
 }
 
+// xu3StepMHz is the XU3's DVFS step on both clusters.
+const xu3StepMHz = 100
+
 // NewXU3 returns the platform calibrated to resemble the Exynos 5422: four
 // Cortex-A7 little cores (200-1400 MHz) and four Cortex-A15 big cores
 // (200-2000 MHz) in 100 MHz steps — the paper's 4940-point config space.
-func NewXU3() *Platform { return NewXU3WithStep(100) }
-
-// NewXU3WithStep is NewXU3 with a configurable DVFS step size in MHz. The
-// frequency ranges and the voltage/frequency lines are identical to the
-// stock XU3 — only the lattice density changes, so a finer step is a strict
-// refinement of the paper's config space. A 25 MHz step yields 71,540
-// configurations (~14.5x the paper's 4940); the scale sweep mode uses this
-// to stress the memoization layer. Steps that don't divide the range evenly
-// still include the range endpoints' lower side (the loop is inclusive of
-// any point <= max).
-func NewXU3WithStep(stepMHz float64) *Platform {
-	if stepMHz <= 0 {
-		stepMHz = 100
-	}
+func NewXU3() *Platform {
 	p := &Platform{
 		LittleCPIFactor:  1.9,
 		MemLatencyNS:     80,
@@ -118,10 +108,10 @@ func NewXU3WithStep(stepMHz float64) *Platform {
 
 		Temp: 45,
 	}
-	for f := 200.0; f <= 1400; f += stepMHz {
+	for f := 200.0; f <= 1400; f += xu3StepMHz {
 		p.LittleOPPs = append(p.LittleOPPs, OPP{FreqMHz: f, Volt: 0.90 + (f-200)/1200*0.30})
 	}
-	for f := 200.0; f <= 2000; f += stepMHz {
+	for f := 200.0; f <= 2000; f += xu3StepMHz {
 		p.BigOPPs = append(p.BigOPPs, OPP{FreqMHz: f, Volt: 0.90 + (f-200)/1800*0.45})
 	}
 	return p
