@@ -619,8 +619,8 @@ func BenchmarkOnlineModelPredict(b *testing.B) {
 // The governor is meant to run continuously per device with negligible
 // overhead, so the service around the decision kernel must be as cheap as
 // the kernel itself. These measure the daemon's step path: over the HTTP
-// handler (JSON in/out, no network) and over the direct in-process fast
-// path that Replay and fleet-side embedders use. steps/sec is the headline;
+// handler (JSON in/out, no network) and over the in-process calls
+// (Server.Step, Server.StepBatch) that embedders use. steps/sec is the headline;
 // the seed single-mutex/JSON-only path measured ~104k steps/sec at 15
 // allocs/op on the concurrent benchmark.
 

@@ -6,7 +6,6 @@
 //
 //	socserved -addr :8090 -policy-file policy.bin
 //	socserved -policy-file policy.bin -bootstrap        # train it if missing
-//	socserved -policy-file policy.bin -replay 64 -replay-steps 1000
 //
 // The policy file is binary (il.SaveMLPPolicy/SaveTreePolicy); a JSON
 // policy file from an older build is refused at load. Delete it and run
@@ -21,11 +20,10 @@
 //	POST   /admin/reload          hot-reload the policy file (also SIGHUP)
 //	GET    /metrics               Prometheus text metrics
 //	GET    /healthz               liveness probe
-//	GET    /readyz                readiness: policy loaded, training backlog ok
+//	GET    /readyz                readiness: not draining or recovering, and the policy is loaded
 //
-// -replay N switches to load-replay mode: the daemon starts, drives itself
-// with N synthetic clients from the workload traces, prints aggregate stats
-// plus decision-latency quantiles, and exits.
+// perfbench (a separate module in this repo) is the load generator that
+// drives the daemon through this API.
 //
 // -mode selects the process role in a cluster:
 //
@@ -104,11 +102,6 @@ func main() {
 	shards := flag.Int("shards", 0, "session-registry shard count, rounded up to a power of two (0 = sized from GOMAXPROCS)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060); empty = disabled")
 	online := flag.Bool("online", true, "warm-start online models at boot so sessions may use policy online-il")
-	replay := flag.Int("replay", 0, "load-replay mode: drive this many synthetic clients and exit")
-	replaySteps := flag.Int("replay-steps", 200, "steps per replay client")
-	replayBatch := flag.Int("replay-batch", 1, "telemetry records per replay step request")
-	replayPolicy := flag.String("replay-policy", "offline-il", "session policy replay clients request")
-	replayDirect := flag.Bool("replay-direct", false, "replay through the in-process fast path instead of HTTP (measures the serving layer, not JSON)")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -186,16 +179,6 @@ func main() {
 	}
 	if *shards < 0 {
 		fail("-shards must be non-negative, got %d", *shards)
-	}
-	if *replay < 0 || *replaySteps <= 0 || *replayBatch <= 0 {
-		fail("replay flags must be positive (-replay %d -replay-steps %d -replay-batch %d)",
-			*replay, *replaySteps, *replayBatch)
-	}
-	if *replay > 0 && *replay > *maxSessions {
-		fail("-replay %d exceeds -max-sessions %d", *replay, *maxSessions)
-	}
-	if *replayDirect && *replay == 0 {
-		fail("-replay-direct needs -replay")
 	}
 
 	p := soc.NewXU3()
@@ -390,34 +373,6 @@ func main() {
 		}()
 	}
 
-	if *replay > 0 {
-		ropt := serve.ReplayOptions{
-			Clients: *replay,
-			Steps:   *replaySteps,
-			Batch:   *replayBatch,
-			Policy:  *replayPolicy,
-			Seed:    *seed,
-		}
-		if *replayDirect {
-			ropt.Server = srv
-		} else {
-			ropt.BaseURL = "http://" + dialableAddr(ln.Addr())
-		}
-		stats, err := serve.Replay(ropt)
-		if err != nil {
-			fail("replay: %v", err)
-		}
-		h := srv.DecideLatency()
-		fmt.Printf("replay: %d clients x %d steps, %.1f J, %.1f s simulated\n",
-			stats.Clients, stats.Steps/stats.Clients, stats.EnergyJ, stats.TimeS)
-		fmt.Printf("decide latency: p50 %.3gs p90 %.3gs p99 %.3gs (n=%d)\n",
-			h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Count())
-		// Replay left no requests in flight, so close hard: a graceful
-		// drain only waits out idle keep-alive connections.
-		httpSrv.Close()
-		return
-	}
-
 	select {
 	case <-ctx.Done():
 		// Graceful exit: flip /readyz first so the load balancer (or the
@@ -522,8 +477,9 @@ func splitHosts(s string) []string {
 	return out
 }
 
-// dialableAddr rewrites a wildcard listen address (":8090" binds the
-// unspecified host) into one the loopback replay clients can dial.
+// dialableAddr rewrites a wildcard listen address (":6060" binds the
+// unspecified host) into one a local client can dial, so the -pprof log
+// line prints a URL that works as given.
 func dialableAddr(a net.Addr) string {
 	host, port, err := net.SplitHostPort(a.String())
 	if err != nil {

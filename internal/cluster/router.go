@@ -826,36 +826,38 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j, i := range idxs {
 			sub.Entries[j] = req.Entries[i]
 		}
+		var data []byte
+		status := 0
 		body, err := json.Marshal(&sub)
-		if err != nil {
-			continue
-		}
-		data, status, err := rt.do(r.Context(), http.MethodPost, backend, "/v1/step/batch", body, "application/json")
-		if err != nil || status != http.StatusOK {
-			st, msg := serve.StepRejected, "backend unavailable"
-			if err == nil && status == http.StatusTooManyRequests {
-				// The backend shed the sub-batch: these entries are fine,
-				// just deferred. Fail them fast as shed so the client's
-				// Retry-After backoff handles recovery.
-				st, msg = serve.StepShed, serve.StepShed.Text()
-			} else if err != nil && errors.Is(err, context.DeadlineExceeded) {
-				st, msg = serve.StepShed, "backend deadline exceeded, retry later"
-			}
-			for _, i := range idxs {
-				results[i] = serve.BatchResult{
-					Session: req.Entries[i].Session.String(),
-					Status:  st,
-					Error:   msg,
-				}
-			}
-			continue
+		if err == nil {
+			data, status, err = rt.do(r.Context(), http.MethodPost, backend, "/v1/step/batch", body, "application/json")
 		}
 		var sresp serve.BatchResponse
-		if err := json.Unmarshal(data, &sresp); err != nil || len(sresp.Results) != len(idxs) {
+		if err == nil && status == http.StatusOK &&
+			json.Unmarshal(data, &sresp) == nil && len(sresp.Results) == len(idxs) {
+			for j, i := range idxs {
+				results[i] = sresp.Results[j]
+			}
 			continue
 		}
-		for j, i := range idxs {
-			results[i] = sresp.Results[j]
+		// Every other outcome fails the sub-batch's entries explicitly: a
+		// result left at its zero value would read as StepOK. That covers
+		// a 200 whose body does not decode or holds the wrong count.
+		st, msg := serve.StepRejected, "backend unavailable"
+		if err == nil && status == http.StatusTooManyRequests {
+			// The backend shed the sub-batch: these entries are fine,
+			// just deferred. Fail them fast as shed so the client's
+			// Retry-After backoff handles recovery.
+			st, msg = serve.StepShed, serve.StepShed.Text()
+		} else if err != nil && errors.Is(err, context.DeadlineExceeded) {
+			st, msg = serve.StepShed, "backend deadline exceeded, retry later"
+		}
+		for _, i := range idxs {
+			results[i] = serve.BatchResult{
+				Session: req.Entries[i].Session.String(),
+				Status:  st,
+				Error:   msg,
+			}
 		}
 	}
 	// Second chance for entries that missed: the session may have been

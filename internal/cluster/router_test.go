@@ -204,6 +204,40 @@ func TestRouterBatchSplitsAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestRouterBatchRejectsUnreadableBackendAnswer: a backend that answers a
+// sub-batch 200 with a body the router cannot use (wrong result count, not
+// JSON) fails those entries as rejected, naming the session. A result left
+// at its zero value would read as StepOK with no session.
+func TestRouterBatchRejectsUnreadableBackendAnswer(t *testing.T) {
+	for _, answer := range []string{`{"results":[]}`, `not json`} {
+		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/step/batch" {
+				io.WriteString(w, answer)
+				return
+			}
+			io.WriteString(w, "ok")
+		}))
+		rt := NewRouter(RouterOptions{Backends: []string{backend.URL}})
+		if !rt.Probe() {
+			t.Fatal("probe built no ring")
+		}
+		front := httptest.NewServer(rt.Handler())
+
+		var out serve.BatchResponse
+		entries := []serve.BatchEntry{{Session: serve.SessionRef("s-1"), Steps: []serve.StepTelemetry{telemetry()}}}
+		code := postJSON(t, front.URL+"/v1/step/batch", serve.BatchRequest{Entries: entries}, &out)
+		front.Close()
+		rt.Stop()
+		backend.Close()
+		if code != http.StatusOK || len(out.Results) != 1 {
+			t.Fatalf("answer %q: status %d, %d results, want 200 and 1", answer, code, len(out.Results))
+		}
+		if r := out.Results[0]; r.Status != serve.StepRejected || r.Session != "s-1" || r.Error != "backend unavailable" {
+			t.Fatalf("answer %q: result %+v, want rejected s-1 \"backend unavailable\"", answer, r)
+		}
+	}
+}
+
 // TestDrainMovesEverySession: draining one backend hands every resident
 // session to the survivor — zero lost, zero left behind — and the router
 // keeps serving all of them after its next probe.

@@ -6,7 +6,8 @@ import (
 	"socrm/internal/workload"
 )
 
-// This file implements the ablation studies DESIGN.md calls out — design
+// This file implements the ablation studies the README's results table
+// lists (run them with `go test -run ^$ -bench Ablation .`) — design
 // choices the paper discusses qualitatively (buffer sizing in Section
 // IV-A3, forgetting stabilization in Section III-B, the candidate
 // neighborhood of the online Oracle approximation, and the multi-rate

@@ -12,8 +12,8 @@ import (
 
 // Integration tests run the paper experiments at reduced scale (fewer
 // snippets per application) and assert the qualitative shapes the paper
-// reports. The full-scale numbers live in EXPERIMENTS.md and are
-// regenerated by cmd/socrepro.
+// reports. The full-scale numbers are what cmd/socrepro prints at
+// -snippets 0; the README quotes them.
 
 var (
 	studyOnce sync.Once

@@ -2,7 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"net/http/httptest"
+	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -322,38 +323,62 @@ func TestStepBatchReusesResults(t *testing.T) {
 	}
 }
 
-// TestReplayDirectMatchesHTTP pins transport-independence: the same seed
-// must produce bit-identical aggregate stats whether the load goes through
-// real HTTP or the in-process fast path.
+// TestReplayDirectMatchesHTTP pins transport-independence: the same seeds
+// and closed-loop telemetry must decide bit-identical configurations
+// whether the records go through the HTTP handler in steps arrays of 5 or
+// one at a time through Server.Step.
 func TestReplayDirectMatchesHTTP(t *testing.T) {
-	mk := func() (*Server, *httptest.Server) {
-		srv, ts, _ := newTestServer(t, nil)
-		return srv, ts
+	const clients, steps, batch = 4, 40, 5
+	p := soc.NewXU3()
+	_, ts, _ := newTestServer(t, nil)
+	hc := ts.Client()
+	srvDirect, _, _ := newTestServer(t, nil)
+	for c := range clients {
+		seed := int64(17 + c)
+		seq := workload.NewSequence(workload.AllApps(seed)...)
+		var viaHTTP, viaDirect []soc.Config
+
+		var created CreateResponse
+		if err := call(hc, http.MethodPost, ts.URL+"/v1/sessions",
+			CreateRequest{Policy: PolicyOfflineIL, Seed: &seed}, &created); err != nil {
+			t.Fatal(err)
+		}
+		cfg := p.Clamp(created.Start)
+		for i := 0; i < steps; i += batch {
+			var req StepRequest
+			for k := range batch {
+				req.Steps = append(req.Steps, deviceRecord(p, seq, i+k, cfg))
+			}
+			var resp StepResponse
+			if err := call(hc, http.MethodPost, ts.URL+"/v1/sessions/"+created.ID+"/step", req, &resp); err != nil {
+				t.Fatal(err)
+			}
+			viaHTTP = append(viaHTTP, resp.Configs...)
+			cfg = p.Clamp(resp.Config)
+		}
+
+		direct, err := srvDirect.CreateSession(CreateRequest{Policy: PolicyOfflineIL, Seed: &seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = p.Clamp(direct.Start)
+		for i := 0; i < steps; i += batch {
+			var last soc.Config
+			for k := range batch {
+				rec := deviceRecord(p, seq, i+k, cfg)
+				if last, _, err = srvDirect.Step(direct.ID, &rec); err != nil {
+					t.Fatal(err)
+				}
+				viaDirect = append(viaDirect, last)
+			}
+			cfg = p.Clamp(last)
+		}
+
+		if !slices.Equal(viaHTTP, viaDirect) {
+			t.Fatalf("client %d: transports disagree:\nhttp   %v\ndirect %v", c, viaHTTP, viaDirect)
+		}
 	}
-	srvHTTP, ts := mk()
-	viaHTTP, err := Replay(ReplayOptions{
-		BaseURL: ts.URL, HTTPClient: ts.Client(),
-		Clients: 4, Steps: 40, Batch: 5, Policy: PolicyOfflineIL, Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvDirect, _ := mk()
-	viaDirect, err := Replay(ReplayOptions{
-		Server:  srvDirect,
-		Clients: 4, Steps: 40, Batch: 5, Policy: PolicyOfflineIL, Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaHTTP.Clients != viaDirect.Clients || viaHTTP.Steps != viaDirect.Steps ||
-		viaHTTP.EnergyJ != viaDirect.EnergyJ || viaHTTP.TimeS != viaDirect.TimeS {
-		t.Fatalf("transports disagree:\nhttp   %+v\ndirect %+v", viaHTTP, viaDirect)
-	}
-	if n := srvHTTP.Metrics(); n == nil {
-		t.Fatal("nil registry")
-	}
-	if got, want := srvDirect.DecideLatency().Count(), uint64(4*40); got != want {
+	if got, want := srvDirect.DecideLatency().Count(), uint64(clients*steps); got != want {
 		t.Fatalf("direct latency count = %d, want %d", got, want)
 	}
 }

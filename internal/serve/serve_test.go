@@ -347,34 +347,76 @@ func TestHotReloadUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestReplaySoak is the acceptance load test: 64 concurrent sessions x
-// 1000 steps through the public HTTP API with zero races and a populated
-// latency histogram. -short scales it down for quick local iteration.
+// deviceRecord executes snippet i of seq (wrapping) at cfg on the client
+// side, as a device agent would, and returns the telemetry it posts.
+func deviceRecord(p *soc.Platform, seq *workload.Sequence, i int, cfg soc.Config) StepTelemetry {
+	sn := seq.Snippets[i%seq.Len()]
+	res := p.Execute(sn, cfg)
+	return StepTelemetry{
+		Counters: res.Counters, Config: cfg, Threads: sn.Threads,
+		TimeS: res.Time, EnergyJ: res.Energy,
+	}
+}
+
+// TestReplaySoak is the acceptance load test: 64 concurrent devices x
+// 1000 closed-loop steps through the public HTTP API with zero races and a
+// populated latency histogram. -short scales it down for quick local
+// iteration.
 func TestReplaySoak(t *testing.T) {
 	clients, steps := 64, 1000
 	if testing.Short() {
 		clients, steps = 8, 60
 	}
 	srv, ts, _ := newTestServer(t, func(o *Options) { o.MaxSessions = clients })
-	stats, err := Replay(ReplayOptions{
-		BaseURL:    ts.URL,
-		Clients:    clients,
-		Steps:      steps,
-		Policy:     PolicyOfflineIL,
-		Seed:       11,
-		HTTPClient: ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	hc := ts.Client()
+	p := soc.NewXU3()
+	energy := make([]float64, clients)
+	done := make([]int, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seed := int64(11 + c)
+			seq := workload.NewSequence(workload.AllApps(seed)...)
+			var created CreateResponse
+			if errs[c] = call(hc, http.MethodPost, ts.URL+"/v1/sessions",
+				CreateRequest{Policy: PolicyOfflineIL, Seed: &seed}, &created); errs[c] != nil {
+				return
+			}
+			stepURL := ts.URL + "/v1/sessions/" + created.ID + "/step"
+			cfg := p.Clamp(created.Start)
+			for i := range steps {
+				rec := deviceRecord(p, seq, i, cfg)
+				var resp StepResponse
+				if errs[c] = call(hc, http.MethodPost, stepURL, StepRequest{StepTelemetry: rec}, &resp); errs[c] != nil {
+					return
+				}
+				energy[c] += rec.EnergyJ
+				done[c]++
+				cfg = p.Clamp(resp.Config)
+			}
+			errs[c] = call(hc, http.MethodDelete, ts.URL+"/v1/sessions/"+created.ID, nil, nil)
+		}()
 	}
-	if stats.Steps != clients*steps {
-		t.Fatalf("stats.Steps = %d, want %d", stats.Steps, clients*steps)
+	wg.Wait()
+	total, totalJ := 0, 0.0
+	for c := range clients {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
+		}
+		total += done[c]
+		totalJ += energy[c]
 	}
-	if stats.EnergyJ <= 0 {
-		t.Fatalf("stats.EnergyJ = %v, want > 0", stats.EnergyJ)
+	if total != clients*steps {
+		t.Fatalf("steps = %d, want %d", total, clients*steps)
+	}
+	if totalJ <= 0 {
+		t.Fatalf("energy = %v J, want > 0", totalJ)
 	}
 	if srv.SessionCount() != 0 {
-		t.Fatalf("%d sessions leaked after replay", srv.SessionCount())
+		t.Fatalf("%d sessions leaked after the soak", srv.SessionCount())
 	}
 	h := srv.DecideLatency()
 	if h.Count() != uint64(clients*steps) {
@@ -385,7 +427,7 @@ func TestReplaySoak(t *testing.T) {
 	}
 
 	// The daemon's whole point: p99 must be scraping-visible on /metrics.
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	resp, err := hc.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,38 +448,41 @@ func TestReplaySoak(t *testing.T) {
 	}
 }
 
-// TestReplayBatching exercises the batched step path end to end.
+// TestReplayBatching exercises the batched step path end to end: 4
+// devices post 50 records each over HTTP in steps arrays of 10, and every
+// record is one decision.
 func TestReplayBatching(t *testing.T) {
+	const clients, steps, batch = 4, 50, 10
 	srv, ts, _ := newTestServer(t, nil)
-	stats, err := Replay(ReplayOptions{
-		BaseURL:    ts.URL,
-		Clients:    4,
-		Steps:      50,
-		Batch:      10,
-		Policy:     "ondemand",
-		Seed:       3,
-		HTTPClient: ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	hc := ts.Client()
+	p := soc.NewXU3()
+	for c := range clients {
+		seed := int64(3 + c)
+		seq := workload.NewSequence(workload.AllApps(seed)...)
+		var created CreateResponse
+		if err := call(hc, http.MethodPost, ts.URL+"/v1/sessions",
+			CreateRequest{Policy: "ondemand", Seed: &seed}, &created); err != nil {
+			t.Fatal(err)
+		}
+		cfg := p.Clamp(created.Start)
+		for i := 0; i < steps; i += batch {
+			var req StepRequest
+			for k := range batch {
+				req.Steps = append(req.Steps, deviceRecord(p, seq, i+k, cfg))
+			}
+			var resp StepResponse
+			if err := call(hc, http.MethodPost, ts.URL+"/v1/sessions/"+created.ID+"/step", req, &resp); err != nil {
+				t.Fatalf("client %d step %d: %v", c, i, err)
+			}
+			if len(resp.Configs) != batch || resp.Step != uint64(i+batch) {
+				t.Fatalf("client %d step %d: %d configs at step %d, want %d at %d",
+					c, i, len(resp.Configs), resp.Step, batch, i+batch)
+			}
+			cfg = p.Clamp(resp.Config)
+		}
 	}
-	if stats.Steps != 200 {
-		t.Fatalf("stats.Steps = %d, want 200", stats.Steps)
-	}
-	if got := srv.DecideLatency().Count(); got != 200 {
-		t.Fatalf("latency count = %d, want 200 (one decision per batched record)", got)
-	}
-}
-
-func TestReplayValidatesOptions(t *testing.T) {
-	if _, err := Replay(ReplayOptions{Clients: 0, Steps: 10}); err == nil {
-		t.Fatal("zero clients must be rejected")
-	}
-	if _, err := Replay(ReplayOptions{Clients: -3, Steps: 10}); err == nil {
-		t.Fatal("negative clients must be rejected")
-	}
-	if _, err := Replay(ReplayOptions{Clients: 1, Steps: -1}); err == nil {
-		t.Fatal("negative steps must be rejected")
+	if got := srv.DecideLatency().Count(); got != clients*steps {
+		t.Fatalf("latency count = %d, want %d (one decision per batched record)", got, clients*steps)
 	}
 }
 
@@ -665,4 +710,43 @@ func TestBatchStatusCodes(t *testing.T) {
 	if StepStatus(200).Text() != "unknown status" {
 		t.Fatal("out-of-range status must not panic")
 	}
+}
+
+// call performs one JSON request/response round trip, surfacing the
+// server's error body on non-2xx statuses.
+func call(hc *http.Client, method, url string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		var e struct {
+			Error string `json:"error"`
+		}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
+			return fmt.Errorf("%s: %s", resp.Status, e.Error)
+		}
+		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }

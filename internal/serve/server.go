@@ -294,8 +294,9 @@ func (s *Server) defaultStart() soc.Config {
 
 // ---- Direct-call API ----
 // These are the same operations the HTTP handlers perform, callable
-// in-process so the replay driver and benchmarks can generate load without
-// paying JSON or HTTP round-trips. Errors carry HTTP statuses (apiError).
+// in-process so embedders, tests and benchmarks can drive the serving hot
+// path without paying JSON or HTTP round-trips. Errors carry HTTP statuses
+// (apiError).
 
 // CreateSession opens a session and returns its handle plus the start
 // configuration the client should execute first.
@@ -373,8 +374,7 @@ func (s *Server) stepSession(sess *Session, t *StepTelemetry) (soc.Config, error
 
 // stepEach decides steps in order for sess, appending each decided
 // configuration to configs. It is the one copy of the multi-record step
-// loop shared by the HTTP handlers, the batch API and the direct
-// transport.
+// loop shared by the step handler and the batch API.
 func (s *Server) stepEach(sess *Session, steps []StepTelemetry, configs []soc.Config) ([]soc.Config, error) {
 	for i := range steps {
 		cfg, err := s.stepSession(sess, &steps[i])
@@ -384,41 +384,6 @@ func (s *Server) stepEach(sess *Session, steps []StepTelemetry, configs []soc.Co
 		configs = append(configs, cfg)
 	}
 	return configs, nil
-}
-
-// stepSequence is the direct-call fast path behind DirectTransport: one
-// registry lookup, then the shared step loop into resp (Config = last
-// decision, Configs = all decisions when more than one record came in).
-func (s *Server) stepSequence(id string, steps []StepTelemetry, resp *StepResponse) error {
-	// Refuse an empty sequence instead of silently succeeding: resp is
-	// reused across calls, and "no decision made" must never read as a
-	// fresh Config. (The HTTP path can't express this shape — an absent
-	// steps array means one inline record.)
-	if len(steps) == 0 {
-		s.mStepErrors.Inc()
-		return apiErrorf(http.StatusBadRequest, "step request carries no telemetry")
-	}
-	sess := s.sessions.get(id)
-	if sess == nil {
-		sess, _, _ = s.promoteForStep(id)
-	}
-	if sess == nil {
-		s.mStepErrors.Inc()
-		return apiErrorf(http.StatusNotFound, "no session %q", id)
-	}
-	configs, err := s.stepEach(sess, steps, resp.Configs[:0])
-	resp.Configs = configs
-	if err != nil {
-		return err
-	}
-	if len(configs) > 0 {
-		resp.Config = configs[len(configs)-1]
-	}
-	if len(steps) <= 1 {
-		resp.Configs = resp.Configs[:0]
-	}
-	resp.Step = sess.Steps()
-	return nil
 }
 
 // Step decides one telemetry record for the session and returns the next
@@ -1044,8 +1009,8 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 // SessionCount returns the number of open sessions.
 func (s *Server) SessionCount() int { return s.sessions.len() }
 
-// Metrics exposes the registry so embedders (tests, the replay driver) can
-// read what /metrics reports.
+// Metrics exposes the registry so embedders (the replicator, tests) can
+// register on and read what /metrics reports.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // DecideLatency exposes the decision-latency histogram for reporting.
