@@ -37,10 +37,14 @@
 // Crash durability: -ckpt-dir streams session checkpoints to an
 // append-compact log replayed on restart (/readyz stays 503 until the
 // replay finishes); in backend mode the same stream is replicated to each
-// session's ring-successor standby, which promotes the replica on the
-// first step after a failover. The -chaos-* flags inject deterministic
-// faults (latency, 500s, connection resets, torn checkpoint writes) for
-// soak tests — never production.
+// session's -replica-k ring-successor standbys, which promote the replica
+// on the first step after a failover. The one fault-injection flag,
+// -chaos-partition, blackholes this process's outbound calls to the named
+// peers for partition smoke tests — never production; every other fault
+// is injected in-process by the tests.
+//
+// All flags parse into one validated config (parseConfig); a bad or
+// inconsistent command line exits 2 before anything is served.
 package main
 
 import (
@@ -55,6 +59,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -66,216 +71,228 @@ import (
 	"socrm/internal/soc"
 )
 
-func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	mode := flag.String("mode", "standalone", "process role: standalone | backend | router")
-	peers := flag.String("peers", "", "comma-separated peer base URLs (router: the backends; backend: drain targets)")
-	selfURL := flag.String("self", "", "this backend's advertised base URL, excluded from its own drain targets")
-	probeEvery := flag.Duration("probe-interval", 500*time.Millisecond, "router: backend readiness probe interval")
-	callTimeout := flag.Duration("call-timeout", 0, "deadline for one proxied/drain/replica HTTP call (0 = 5s)")
-	probeTimeout := flag.Duration("probe-timeout", 0, "deadline for one readiness probe (0 = 2s)")
-	retries := flag.Int("retries", 0, "router: retry budget per proxied call after the first attempt (0 = 2, negative = no retries)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "router: base of the jittered exponential retry backoff (0 = 25ms)")
-	failAfter := flag.Int("fail-after", 0, "router: consecutive silent probe failures before a backend leaves the ring (0 = 3)")
-	ckptDir := flag.String("ckpt-dir", "", "durable checkpoint directory; empty = no crash durability")
-	ckptInterval := flag.Duration("ckpt-interval", time.Second, "checkpoint flush cadence; a crash loses at most this much progress per session")
-	ckptDirty := flag.Int("ckpt-dirty", 0, "flush early once this many sessions have uncheckpointed steps (0 = interval-only)")
-	ckptSync := flag.String("ckpt-sync", "always", "checkpoint fsync policy: always | none")
-	replicate := flag.Bool("replicate", true, "backend mode: push checkpoint records to each session's ring-successor standbys")
-	replicaQueue := flag.Int("replica-queue", 0, "per-peer replica queue in records; a full queue drops oldest (0 = 256)")
-	replicaK := flag.Int("replica-k", 0, "backend: ring-successor standbys per session; survives K-1 standby failures (0 = 2)")
-	routerInstance := flag.String("router-instance", "", "router: instance tag baked into assigned session ids; must differ across an active-active router tier")
-	maxInflight := flag.Int("max-inflight", 0, "admission bound on concurrent step/batch requests; beyond it -max-queue more wait briefly, the rest shed with 429 (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for an admission slot once -max-inflight is saturated (0 = immediate shed)")
-	queueWait := flag.Duration("queue-wait", 0, "how long a queued request waits for an admission slot before shedding (0 = 100ms)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection schedule seed (deterministic per seed)")
-	chaosLatency := flag.Duration("chaos-latency", 0, "chaos: extra latency injected when -chaos-latency-p fires")
-	chaosLatencyP := flag.Float64("chaos-latency-p", 0, "chaos: probability of injecting -chaos-latency per request")
-	chaosErrorP := flag.Float64("chaos-error-p", 0, "chaos: probability of answering 500 instead of serving")
-	chaosResetP := flag.Float64("chaos-reset-p", 0, "chaos: probability of dropping the connection mid-request")
-	chaosTornP := flag.Float64("chaos-torn-p", 0, "chaos: probability of tearing a checkpoint record mid-write")
-	chaosPartition := flag.String("chaos-partition", "", "chaos: comma-separated destinations (URLs or host:port) this process cannot reach — one side of an asymmetric partition")
-	policyFile := flag.String("policy-file", "", "persisted binary policy file (mlp or tree); empty = governor policies only")
-	bootstrap := flag.Bool("bootstrap", false, "train and write a quick policy to -policy-file if it does not exist")
-	seed := flag.Int64("seed", 42, "seed for bootstrap training, model warm-start and session decorrelation")
-	maxSessions := flag.Int("max-sessions", 1024, "maximum concurrent sessions")
-	shards := flag.Int("shards", 0, "session-registry shard count, rounded up to a power of two (0 = sized from GOMAXPROCS)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060); empty = disabled")
-	online := flag.Bool("online", true, "warm-start online models at boot so sessions may use policy online-il")
-	flag.Parse()
+// config is the daemon's whole command line, parsed and validated.
+type config struct {
+	addr           string
+	mode           string   // standalone | backend | router
+	peers          []string // normalized by splitURLs
+	self           string   // backend mode: normalized, and one of peers
+	probeInterval  time.Duration
+	callTimeout    time.Duration
+	failAfter      int
+	ckptDir        string
+	ckptInterval   time.Duration
+	ckptSync       ckpt.SyncPolicy
+	replicaK       int
+	routerInstance string
+	maxInflight    int
+	maxQueue       int
+	queueWait      time.Duration
+	partition      []string // bare host:port destinations this process cannot reach
+	policyFile     string
+	bootstrap      bool
+	seed           int64
+	maxSessions    int
+	pprofAddr      string
+}
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "socserved: "+format+"\n", args...)
-		os.Exit(2)
+// parseConfig parses and validates the command line (without the program
+// name). Every rule about which flag values and combinations are legal
+// lives here.
+func parseConfig(args []string) (config, error) {
+	var c config
+	var peers, self, ckptSync, partition string
+	fs := flag.NewFlagSet("socserved", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":8090", "listen address")
+	fs.StringVar(&c.mode, "mode", "standalone", "process role: standalone | backend | router")
+	fs.StringVar(&peers, "peers", "", "comma-separated peer base URLs (router: the backends; backend: every backend, itself included)")
+	fs.StringVar(&self, "self", "", "backend: this backend's advertised base URL, one of -peers")
+	fs.DurationVar(&c.probeInterval, "probe-interval", 500*time.Millisecond, "router: backend readiness probe interval")
+	fs.DurationVar(&c.callTimeout, "call-timeout", 0, "deadline for one proxied/drain/replica HTTP call (0 = 5s)")
+	fs.IntVar(&c.failAfter, "fail-after", 0, "router: consecutive silent probe failures before a backend leaves the ring (0 = 3)")
+	fs.StringVar(&c.ckptDir, "ckpt-dir", "", "durable checkpoint directory; empty = no crash durability")
+	fs.DurationVar(&c.ckptInterval, "ckpt-interval", time.Second, "checkpoint flush cadence; a crash loses at most this much progress per session")
+	fs.StringVar(&ckptSync, "ckpt-sync", "always", "checkpoint fsync policy: always | none")
+	fs.IntVar(&c.replicaK, "replica-k", 0, "backend: ring-successor standbys per session; survives K-1 standby failures (0 = 2)")
+	fs.StringVar(&c.routerInstance, "router-instance", "", "router: instance tag baked into assigned session ids; must differ across an active-active router tier")
+	fs.IntVar(&c.maxInflight, "max-inflight", 0, "admission bound on concurrent step/batch requests; beyond it -max-queue more wait briefly, the rest shed with 429 (0 = unlimited)")
+	fs.IntVar(&c.maxQueue, "max-queue", 0, "requests allowed to wait for an admission slot once -max-inflight is saturated (0 = immediate shed)")
+	fs.DurationVar(&c.queueWait, "queue-wait", 0, "how long a queued request waits for an admission slot before shedding (0 = 100ms)")
+	fs.StringVar(&partition, "chaos-partition", "", "chaos: comma-separated destinations (URLs or host:port) this process cannot reach — one side of an asymmetric partition")
+	fs.StringVar(&c.policyFile, "policy-file", "", "persisted binary policy file (mlp or tree); empty = governor policies only")
+	fs.BoolVar(&c.bootstrap, "bootstrap", false, "train and write a quick policy to -policy-file if it does not exist")
+	fs.Int64Var(&c.seed, "seed", 42, "seed for bootstrap training, model warm-start and session decorrelation")
+	fs.IntVar(&c.maxSessions, "max-sessions", 1024, "maximum concurrent sessions")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060); empty = disabled")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
 	}
-	for _, p := range []struct {
+	c.peers = splitURLs(peers)
+	c.self = normURL(self)
+	c.partition = splitHosts(partition)
+
+	switch c.mode {
+	case "standalone":
+	case "router", "backend":
+		if len(c.peers) == 0 {
+			return config{}, fmt.Errorf("-mode %s needs -peers", c.mode)
+		}
+	default:
+		return config{}, fmt.Errorf("-mode must be standalone, backend or router, got %q", c.mode)
+	}
+	if c.mode == "backend" {
+		// A backend missing from its own peer list would count itself among
+		// its drain targets and replica standbys.
+		if c.self == "" {
+			return config{}, errors.New("-mode backend needs -self")
+		}
+		if !slices.Contains(c.peers, c.self) {
+			return config{}, fmt.Errorf("-self %s is not one of -peers %v", c.self, c.peers)
+		}
+	}
+	if c.maxSessions <= 0 {
+		return config{}, fmt.Errorf("-max-sessions must be positive, got %d", c.maxSessions)
+	}
+	if c.ckptInterval <= 0 {
+		return config{}, fmt.Errorf("-ckpt-interval must be positive, got %v", c.ckptInterval)
+	}
+	for _, d := range []struct {
 		name  string
-		value float64
-	}{
-		{"-chaos-latency-p", *chaosLatencyP},
-		{"-chaos-error-p", *chaosErrorP},
-		{"-chaos-reset-p", *chaosResetP},
-		{"-chaos-torn-p", *chaosTornP},
-	} {
-		if p.value < 0 || p.value > 1 {
-			fail("%s must be in [0,1], got %g", p.name, p.value)
+		value time.Duration
+	}{{"-probe-interval", c.probeInterval}, {"-call-timeout", c.callTimeout}, {"-queue-wait", c.queueWait}} {
+		if d.value < 0 {
+			return config{}, fmt.Errorf("%s must not be negative, got %v", d.name, d.value)
 		}
 	}
-	var inj *chaos.Injector
-	if *chaosLatencyP > 0 || *chaosErrorP > 0 || *chaosResetP > 0 || *chaosTornP > 0 || *chaosPartition != "" {
-		inj = chaos.New(chaos.Options{
-			Seed:     *chaosSeed,
-			Latency:  *chaosLatency,
-			LatencyP: *chaosLatencyP,
-			ErrorP:   *chaosErrorP,
-			ResetP:   *chaosResetP,
-			TornP:    *chaosTornP,
-		})
-		log.Printf("CHAOS ACTIVE (seed %d): latency %v@%g error %g reset %g torn %g — never run in production",
-			*chaosSeed, *chaosLatency, *chaosLatencyP, *chaosErrorP, *chaosResetP, *chaosTornP)
-		if hosts := splitHosts(*chaosPartition); len(hosts) > 0 {
-			inj.SetPartition(hosts...)
-			log.Printf("CHAOS PARTITION: this process cannot reach %v", hosts)
+	for _, n := range []struct {
+		name  string
+		value int
+	}{{"-fail-after", c.failAfter}, {"-replica-k", c.replicaK}, {"-max-inflight", c.maxInflight}, {"-max-queue", c.maxQueue}} {
+		if n.value < 0 {
+			return config{}, fmt.Errorf("%s must not be negative, got %d", n.name, n.value)
 		}
+	}
+	switch ckptSync {
+	case "always":
+		c.ckptSync = ckpt.SyncAlways
+	case "none":
+		c.ckptSync = ckpt.SyncNone
+	default:
+		return config{}, fmt.Errorf("-ckpt-sync must be always or none, got %q", ckptSync)
+	}
+	return c, nil
+}
+
+func main() {
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fail("%v", err)
 	}
 	// outbound is the one client this process dials peers with: router
 	// calls, drain handoffs, replica pushes and recovery's peer checks. Its
-	// transport is chaos-wrapped, so -chaos-partition blackholes the real
-	// traffic, not just inbound requests.
+	// transport carries the partition, so -chaos-partition blackholes the
+	// real traffic.
 	outbound := &http.Client{Timeout: 10 * time.Second}
-	if inj != nil {
+	if len(cfg.partition) > 0 {
+		inj := chaos.New(chaos.Options{})
+		inj.SetPartition(cfg.partition...)
 		outbound.Transport = inj.Transport(nil)
+		log.Printf("CHAOS PARTITION: this process cannot reach %v — never run in production", cfg.partition)
 	}
-	peerList := splitURLs(*peers)
-	switch *mode {
-	case "standalone", "backend":
-	case "router":
-		if len(peerList) == 0 {
-			fail("-mode router needs -peers")
-		}
-		runRouter(cluster.RouterOptions{
-			Backends:      peerList,
-			ProbeInterval: *probeEvery,
-			CallTimeout:   *callTimeout,
-			ProbeTimeout:  *probeTimeout,
-			Retries:       *retries,
-			RetryBackoff:  *retryBackoff,
-			FailAfter:     *failAfter,
-			Instance:      *routerInstance,
-			MaxInflight:   *maxInflight,
-			MaxQueue:      *maxQueue,
-			QueueWait:     *queueWait,
-			Client:        outbound,
-		}, *addr, inj, fail)
+	if cfg.mode == "router" {
+		runRouter(cfg, outbound)
 		return
-	default:
-		fail("-mode must be standalone, backend or router, got %q", *mode)
 	}
-	if *mode == "backend" && len(peerList) == 0 {
-		fail("-mode backend needs -peers to drain to")
-	}
-	if *maxSessions <= 0 {
-		fail("-max-sessions must be positive, got %d", *maxSessions)
-	}
-	if *shards < 0 {
-		fail("-shards must be non-negative, got %d", *shards)
-	}
+	runServer(cfg, outbound)
+}
 
+// fail reports a fatal error and exits 2.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "socserved: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// runServer is the standalone and backend main loop: the session server
+// with its optional drain, checkpoint and replication stack.
+func runServer(cfg config, outbound *http.Client) {
 	p := soc.NewXU3()
 	var store *serve.PolicyStore
-	if *policyFile != "" {
-		if _, err := os.Stat(*policyFile); errors.Is(err, os.ErrNotExist) && *bootstrap {
-			log.Printf("bootstrapping policy into %s", *policyFile)
+	if cfg.policyFile != "" {
+		if _, err := os.Stat(cfg.policyFile); errors.Is(err, os.ErrNotExist) && cfg.bootstrap {
+			log.Printf("bootstrapping policy into %s", cfg.policyFile)
 			// Train fully in memory, then write via rename: an interrupted
 			// bootstrap must not leave a partial file that blocks every
 			// later -bootstrap run.
 			var buf bytes.Buffer
-			if err := serve.WriteBootstrapPolicy(&buf, p, *seed, 4, 24); err != nil {
+			if err := serve.WriteBootstrapPolicy(&buf, p, cfg.seed, 4, 24); err != nil {
 				fail("bootstrap: %v", err)
 			}
-			tmp := *policyFile + ".tmp"
+			tmp := cfg.policyFile + ".tmp"
 			if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 				fail("bootstrap: %v", err)
 			}
-			if err := os.Rename(tmp, *policyFile); err != nil {
+			if err := os.Rename(tmp, cfg.policyFile); err != nil {
 				fail("bootstrap: %v", err)
 			}
 		}
-		store = serve.NewPolicyStore(*policyFile, p)
+		store = serve.NewPolicyStore(cfg.policyFile, p)
 		if err := store.Load(); err != nil {
 			fail("%v", err)
 		}
-		log.Printf("loaded policy from %s", *policyFile)
+		log.Printf("loaded policy from %s", cfg.policyFile)
 	}
 
 	opt := serve.Options{
 		Platform:      p,
 		Store:         store,
-		MaxSessions:   *maxSessions,
-		Shards:        *shards,
-		SeedBase:      *seed,
-		StepInflight:  *maxInflight,
-		StepQueue:     *maxQueue,
-		StepQueueWait: *queueWait,
+		MaxSessions:   cfg.maxSessions,
+		SeedBase:      cfg.seed,
+		StepInflight:  cfg.maxInflight,
+		StepQueue:     cfg.maxQueue,
+		StepQueueWait: cfg.queueWait,
 	}
-	if *online && store != nil {
+	if store != nil {
+		// Warm-start the online models so sessions may use policy online-il.
 		t0 := time.Now()
-		opt.Models = serve.WarmModels(p, *seed, 40)
+		opt.Models = serve.WarmModels(p, cfg.seed, 40)
 		log.Printf("warm-started online models in %v", time.Since(t0).Round(time.Millisecond))
 	}
 	srv := serve.New(opt)
 
 	var handler http.Handler = srv.Handler()
 	var drainer *cluster.Drainer
-	if *mode == "backend" {
+	if cfg.mode == "backend" {
 		drainer = &cluster.Drainer{
 			Server:      srv,
-			Self:        *selfURL,
-			Peers:       peerList,
-			CallTimeout: *callTimeout,
+			Self:        cfg.self,
+			Peers:       cfg.peers,
+			CallTimeout: cfg.callTimeout,
 			Client:      outbound,
 		}
 		handler = cluster.BackendHandler(drainer)
-		log.Printf("backend mode: draining to %d peers", len(peerList))
-	}
-	if inj != nil {
-		handler = inj.Middleware(handler)
+		log.Printf("backend mode: draining to %d peers", len(cfg.peers)-1)
 	}
 
 	// Durability stack: checkpoint store (crash recovery), replicator (warm
 	// standby on the ring successor), checkpointer (drives both).
 	var ckStore *ckpt.Store
-	if *ckptDir != "" {
-		if *ckptInterval <= 0 {
-			fail("-ckpt-interval must be positive, got %v", *ckptInterval)
-		}
-		var sync ckpt.SyncPolicy
-		switch *ckptSync {
-		case "always":
-			sync = ckpt.SyncAlways
-		case "none":
-			sync = ckpt.SyncNone
-		default:
-			fail("-ckpt-sync must be always or none, got %q", *ckptSync)
-		}
-		copt := ckpt.Options{Dir: *ckptDir, Sync: sync}
-		if inj != nil && *chaosTornP > 0 {
-			copt.MaimWrites = inj.TornWrites()
-		}
+	if cfg.ckptDir != "" {
 		var err error
-		if ckStore, err = ckpt.Open(copt); err != nil {
+		if ckStore, err = ckpt.Open(ckpt.Options{Dir: cfg.ckptDir, Sync: cfg.ckptSync}); err != nil {
 			fail("checkpoint store: %v", err)
 		}
-		log.Printf("checkpointing to %s every %v (sync %s)", *ckptDir, *ckptInterval, *ckptSync)
+		log.Printf("checkpointing to %s every %v (fsync per append: %t)", cfg.ckptDir, cfg.ckptInterval, cfg.ckptSync == ckpt.SyncAlways)
 	}
 	var repl *cluster.Replicator
-	if *mode == "backend" && *replicate {
+	if cfg.mode == "backend" {
 		repl = cluster.NewReplicator(cluster.ReplicatorOptions{
-			Self:        *selfURL,
-			Peers:       peerList,
-			Fanout:      *replicaK,
-			QueueSize:   *replicaQueue,
-			CallTimeout: *callTimeout,
+			Self:        cfg.self,
+			Peers:       cfg.peers,
+			Fanout:      cfg.replicaK,
+			CallTimeout: cfg.callTimeout,
 			Registry:    srv.Metrics(),
 			Client:      outbound,
 			// A standby that 409s a push holds a fresher epoch: fence our
@@ -289,11 +306,7 @@ func main() {
 	}
 	var ck *serve.Checkpointer
 	if ckStore != nil || repl != nil {
-		ckOpt := serve.CheckpointerOptions{
-			Store:          ckStore,
-			Interval:       *ckptInterval,
-			DirtyThreshold: *ckptDirty,
-		}
+		ckOpt := serve.CheckpointerOptions{Store: ckStore, Interval: cfg.ckptInterval}
 		if repl != nil {
 			ckOpt.Sink = repl
 		}
@@ -308,8 +321,8 @@ func main() {
 		ck.Start()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	ln, err := net.Listen("tcp", *addr)
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler}
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -318,10 +331,10 @@ func main() {
 	// -pprof exposes the profiling endpoints on a side listener so an
 	// operator can `go tool pprof http://host:port/debug/pprof/profile`
 	// against a live daemon without opening them on the service port.
-	if *pprofAddr != "" {
-		pln, err := net.Listen("tcp", *pprofAddr)
+	if cfg.pprofAddr != "" {
+		pln, err := net.Listen("tcp", cfg.pprofAddr)
 		if err != nil {
-			fail("-pprof %s: %v", *pprofAddr, err)
+			fail("-pprof %s: %v", cfg.pprofAddr, err)
 		}
 		log.Printf("pprof on http://%s/debug/pprof/", dialableAddr(pln.Addr()))
 		go func() {
@@ -357,7 +370,7 @@ func main() {
 		// (the live copy outranks our checkpoint) and tombstoned.
 		go func() {
 			t0 := time.Now()
-			rep, err := cluster.Recover(srv, ckStore, *selfURL, peerList, outbound, *probeTimeout)
+			rep, err := cluster.Recover(srv, ckStore, cfg.self, cfg.peers, outbound, 0)
 			if err != nil {
 				log.Printf("recovery: %v", err)
 			}
@@ -372,7 +385,6 @@ func main() {
 			}
 		}()
 	}
-
 	select {
 	case <-ctx.Done():
 		// Graceful exit: flip /readyz first so the load balancer (or the
@@ -412,21 +424,27 @@ func main() {
 
 // runRouter is the -mode router main loop: a stateless front tier, no
 // policy store, no sessions of its own.
-func runRouter(opt cluster.RouterOptions, addr string, inj *chaos.Injector, fail func(string, ...any)) {
-	rt := cluster.NewRouter(opt)
+func runRouter(cfg config, outbound *http.Client) {
+	rt := cluster.NewRouter(cluster.RouterOptions{
+		Backends:      cfg.peers,
+		ProbeInterval: cfg.probeInterval,
+		CallTimeout:   cfg.callTimeout,
+		FailAfter:     cfg.failAfter,
+		Instance:      cfg.routerInstance,
+		MaxInflight:   cfg.maxInflight,
+		MaxQueue:      cfg.maxQueue,
+		QueueWait:     cfg.queueWait,
+		Client:        outbound,
+	})
 	rt.Probe()
 	rt.Start()
 	defer rt.Stop()
-	var handler http.Handler = rt.Handler()
-	if inj != nil {
-		handler = inj.Middleware(handler)
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
-	ln, err := net.Listen("tcp", addr)
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: rt.Handler()}
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		fail("%v", err)
 	}
-	log.Printf("routing for %d backends on %s (%d ready)", len(opt.Backends), ln.Addr(), rt.Ring().Len())
+	log.Printf("routing for %d backends on %s (%d ready)", len(cfg.peers), ln.Addr(), rt.Ring().Len())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
@@ -449,13 +467,16 @@ func runRouter(opt cluster.RouterOptions, addr string, inj *chaos.Injector, fail
 func splitURLs(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimRight(part, "/")
-		if part != "" {
+		if part = normURL(part); part != "" {
 			out = append(out, part)
 		}
 	}
 	return out
+}
+
+// normURL trims spaces and trailing slashes from one base URL.
+func normURL(s string) string {
+	return strings.TrimRight(strings.TrimSpace(s), "/")
 }
 
 // splitHosts parses a comma-separated destination list into the bare

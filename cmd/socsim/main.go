@@ -7,8 +7,8 @@
 //	socsim -app Kmeans -policy online-il
 //	socsim -app all -policy ondemand
 //
-// Policies: oracle, offline-il, offline-tree, online-il, rl, dqn,
-// ondemand, interactive, performance, powersave.
+// Policies: oracle, offline-il, offline-tree, online-il, rl, ondemand,
+// interactive, performance, powersave.
 //
 // -snippets caps each application's snippet count (default 60, 0 = full).
 // Building the study (Oracle labels and the trained offline policies)
@@ -103,7 +103,6 @@ var policyMakers = map[string]func(*experiments.Study) control.Decider{
 	},
 	"online-il":   func(s *experiments.Study) control.Decider { return s.FreshOnlineIL() },
 	"rl":          func(s *experiments.Study) control.Decider { return s.FreshQTable(6) },
-	"dqn":         func(s *experiments.Study) control.Decider { return s.FreshDQN(2) },
 	"ondemand":    func(s *experiments.Study) control.Decider { return governor.NewOndemand(s.P) },
 	"interactive": func(s *experiments.Study) control.Decider { return governor.NewInteractive(s.P) },
 	"performance": func(s *experiments.Study) control.Decider { return governor.Performance{P: s.P} },

@@ -24,12 +24,6 @@ type Drainer struct {
 	// peer call (nil = 10s-timeout client); peer readiness is probed with
 	// the client itself.
 	Client *http.Client
-	// RefusalLimit is how many import refusals a reachable peer may return
-	// during one drain before it is skipped for the rest of the pass
-	// (0 = 3). A peer at its session cap, or drain-gating imports itself,
-	// refuses every session — without the limit each refusal is retried
-	// per session and the drain degenerates to local re-imports.
-	RefusalLimit int
 	// CallTimeout bounds each handoff HTTP call (0 = 5s).
 	CallTimeout time.Duration
 }
@@ -74,12 +68,9 @@ func (d *Drainer) Drain() (DrainReport, error) {
 		return rep, fmt.Errorf("drain: no ready peers; %d sessions stay resident", rep.Remaining)
 	}
 	ring := NewRing(targets)
-	limit := d.RefusalLimit
-	if limit <= 0 {
-		limit = defaultRefusalLimit
-	}
 	// refusals counts import rejections per reachable peer across the whole
-	// pass; a peer past the limit is skipped for every later session.
+	// pass; a peer past defaultRefusalLimit is skipped for every later
+	// session.
 	refusals := make(map[string]int, len(targets))
 	for _, id := range d.Server.SessionIDs() {
 		env, err := d.Server.DetachSession(id)
@@ -87,7 +78,7 @@ func (d *Drainer) Drain() (DrainReport, error) {
 			// Already gone (closed or migrated away concurrently).
 			continue
 		}
-		if handoff(p.call, id, d.Self, env, append([]string{ring.Owner(id)}, ring.Nodes()...), refusals, limit) != "" {
+		if handoff(p.call, id, d.Self, env, append([]string{ring.Owner(id)}, ring.Nodes()...), refusals) != "" {
 			rep.Drained++
 			continue
 		}

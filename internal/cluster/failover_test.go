@@ -231,6 +231,14 @@ func TestChaosLatencyFailover(t *testing.T) {
 	tsB := httptest.NewServer(BackendHandler(drB))
 	defer tsB.Close()
 
+	// A two-backend cluster gives each session exactly one standby, however
+	// many the default fanout asks for.
+	replA := NewReplicator(ReplicatorOptions{Self: tsA.URL, Peers: []string{tsA.URL, tsB.URL}})
+	replA.Stop()
+	if got := replA.Fanout(); got != 1 {
+		t.Fatalf("replicator fanout with one peer = %d, want 1", got)
+	}
+
 	rt := NewRouter(RouterOptions{
 		Backends:     []string{tsA.URL, tsB.URL},
 		CallTimeout:  150 * time.Millisecond,
@@ -417,7 +425,7 @@ func TestProbeDebounce(t *testing.T) {
 }
 
 // TestDrainerSkipsRefusingPeer: a peer that answers ready but refuses
-// imports is abandoned after RefusalLimit refusals instead of being
+// imports is abandoned after defaultRefusalLimit refusals instead of being
 // offered every remaining session.
 func TestDrainerSkipsRefusingPeer(t *testing.T) {
 	p := soc.NewXU3()
@@ -445,10 +453,9 @@ func TestDrainerSkipsRefusingPeer(t *testing.T) {
 	defer sinkTS.Close()
 
 	dr := &Drainer{
-		Server:       src,
-		Self:         "http://self",
-		Peers:        []string{refuser.URL, sinkTS.URL},
-		RefusalLimit: 2,
+		Server: src,
+		Self:   "http://self",
+		Peers:  []string{refuser.URL, sinkTS.URL},
 	}
 	rep, err := dr.Drain()
 	if err != nil {
@@ -460,8 +467,8 @@ func TestDrainerSkipsRefusingPeer(t *testing.T) {
 	if sink.SessionCount() != 10 {
 		t.Fatalf("sink holds %d sessions, want 10", sink.SessionCount())
 	}
-	if hits := refuserHits.Load(); hits > 2 {
-		t.Fatalf("refusing peer was offered %d imports, want <= RefusalLimit (2)", hits)
+	if hits := refuserHits.Load(); hits > defaultRefusalLimit {
+		t.Fatalf("refusing peer was offered %d imports, want <= %d", hits, defaultRefusalLimit)
 	}
 }
 

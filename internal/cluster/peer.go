@@ -108,21 +108,23 @@ func (p *peer) ready(base string, timeout time.Duration) (up, responded bool) {
 
 // defaultRefusalLimit is how many import refusals one target may return
 // during a drain or rebalance pass before it is skipped for the rest of it.
+// A peer at its session cap, or drain-gating imports itself, refuses every
+// session; without the limit it would be offered each one in turn.
 const defaultRefusalLimit = 3
 
 // handoff imports env, the envelope of a session detached from from, at the
 // first of targets that takes it, trying them in order, and returns that
 // target ("" when none did). from, empty entries, repeats and targets that
-// already refused limit imports this pass are skipped. A 201 means done. A
-// 409 means the target holds or has fenced id at an epoch env cannot
-// outrank; when it hosts the session live, that fresher copy stands and the
-// handoff converged there, so env is a stale generation, correctly
+// already refused defaultRefusalLimit imports this pass are skipped. A 201
+// means done. A 409 means the target holds or has fenced id at an epoch env
+// cannot outrank; when it hosts the session live, that fresher copy stands
+// and the handoff converged there, so env is a stale generation, correctly
 // discarded. Anything else, an unreachable target included, counts one
 // refusal for the pass. Callers keep their own fallback for a "".
-func handoff(call callFunc, id, from string, env []byte, targets []string, refusals map[string]int, limit int) string {
+func handoff(call callFunc, id, from string, env []byte, targets []string, refusals map[string]int) string {
 	ctx := context.Background()
 	for i, t := range targets {
-		if t == "" || t == from || refusals[t] >= limit || slices.Contains(targets[:i], t) {
+		if t == "" || t == from || refusals[t] >= defaultRefusalLimit || slices.Contains(targets[:i], t) {
 			continue
 		}
 		_, status, _, err := call(ctx, http.MethodPost, t, "/v1/sessions/import", env, "application/octet-stream")

@@ -79,9 +79,6 @@ type Replicator struct {
 
 // NewReplicator builds a replicator. Call Stop to flush and stop workers.
 func NewReplicator(opt ReplicatorOptions) *Replicator {
-	if opt.Fanout <= 0 {
-		opt.Fanout = 2
-	}
 	if opt.QueueSize <= 0 {
 		opt.QueueSize = 256
 	}
@@ -95,6 +92,10 @@ func NewReplicator(opt ReplicatorOptions) *Replicator {
 			peers = append(peers, p)
 		}
 	}
+	if opt.Fanout <= 0 {
+		opt.Fanout = 2
+	}
+	opt.Fanout = min(opt.Fanout, len(peers))
 	r := &Replicator{
 		opt:    opt,
 		ring:   NewRing(peers),

@@ -53,15 +53,8 @@ type RouterOptions struct {
 	CallTimeout time.Duration
 	// ProbeTimeout bounds each readiness probe (0 = 2s).
 	ProbeTimeout time.Duration
-	// Retries is how many times a failed call is retried with jittered
-	// exponential backoff (0 = 2; negative = no retries). Non-idempotent
-	// calls (steps, creates, imports) retry only when the connection was
-	// refused outright — a request the backend never received cannot have
-	// been acted on twice. A 429 is never retried: the backend asked for
-	// less traffic, not the same traffic again.
-	Retries int
-	// RetryBackoff is the base backoff before the first retry, doubling per
-	// attempt with up-to-50% jitter (0 = 25ms).
+	// RetryBackoff is the base backoff before the first of routerRetries
+	// retries, doubling per attempt with up-to-50% jitter (0 = 25ms).
 	RetryBackoff time.Duration
 	// FailAfter is how many consecutive probe transport failures mark a
 	// ready backend failed (0 = 3). A backend that *answers* 503 is
@@ -93,7 +86,6 @@ type Router struct {
 	interval     time.Duration
 	peer         peer
 	probeTimeout time.Duration
-	retries      int
 	retryBackoff time.Duration
 	failAfter    int
 
@@ -152,11 +144,6 @@ func NewRouter(opt RouterOptions) *Router {
 	if opt.ProbeTimeout <= 0 {
 		opt.ProbeTimeout = 2 * time.Second
 	}
-	if opt.Retries == 0 {
-		opt.Retries = 2
-	} else if opt.Retries < 0 {
-		opt.Retries = 0
-	}
 	if opt.RetryBackoff <= 0 {
 		opt.RetryBackoff = 25 * time.Millisecond
 	}
@@ -170,7 +157,6 @@ func NewRouter(opt RouterOptions) *Router {
 		interval:     opt.ProbeInterval,
 		peer:         newPeer(opt.Client, opt.CallTimeout),
 		probeTimeout: opt.ProbeTimeout,
-		retries:      opt.Retries,
 		retryBackoff: opt.RetryBackoff,
 		failAfter:    opt.FailAfter,
 		ready:        map[string]bool{},
@@ -367,7 +353,7 @@ func (rt *Router) migrate(id, from, to string, ring *Ring, refusals map[string]i
 		// Someone else (a drain, a concurrent probe) already moved it.
 		return
 	}
-	if t := handoff(rt.doHdr, id, from, env, append([]string{to}, ring.Nodes()...), refusals, defaultRefusalLimit); t != "" {
+	if t := handoff(rt.doHdr, id, from, env, append([]string{to}, ring.Nodes()...), refusals); t != "" {
 		rt.mMigrations.Inc()
 		if t == ring.Owner(id) {
 			rt.relocations.Delete(id)
@@ -435,6 +421,10 @@ func (rt *Router) backendGauge(backend string) *metrics.Gauge {
 	return g
 }
 
+// routerRetries is how many times a failed backend call is retried after
+// its first attempt.
+const routerRetries = 2
+
 // do performs one backend call under the router's retry/timeout/backoff
 // discipline and returns the response body and status. Every attempt runs
 // under its own callTimeout deadline, nested inside ctx so a client that
@@ -479,7 +469,7 @@ func (rt *Router) doHdr(ctx context.Context, method, backend, path string, body 
 				return nil, 0, nil, lastErr
 			}
 			refused := errors.Is(lastErr, syscall.ECONNREFUSED)
-			if attempt < rt.retries && (idempotent || refused) {
+			if attempt < routerRetries && (idempotent || refused) {
 				continue
 			}
 			return nil, 0, nil, lastErr
@@ -488,7 +478,7 @@ func (rt *Router) doHdr(ctx context.Context, method, backend, path string, body 
 			rt.mBackendSheds.Inc()
 			return data, status, hdr, nil
 		}
-		if status >= 500 && idempotent && attempt < rt.retries {
+		if status >= 500 && idempotent && attempt < routerRetries {
 			continue
 		}
 		return data, status, hdr, nil

@@ -189,26 +189,8 @@ func (s *Study) FreshOnlineILSeeded(seed int64) *il.OnlineIL {
 	return il.NewOnlineILSeeded(s.P, s.policy.Clone(), s.FreshModels(), seed)
 }
 
-// FreshDQN returns the deep-Q baseline pretrained on the Mi-Bench suite
-// for the given number of passes, matching the "both policies are trained
-// offline with Mi-Bench applications" setup of Figure 3.
-func (s *Study) FreshDQN(pretrainPasses int) *rl.DQN {
-	d := rl.NewDQN(s.P, s.policy.Scaler, s.Opt.Seed+17)
-	seq := workload.NewSequence(s.MiBench...)
-	start := s.defaultStart()
-	for e := 0; e < pretrainPasses; e++ {
-		control.Run(s.P, seq, d, start)
-	}
-	// Deployment: keep some exploration (RL cannot learn without it — the
-	// very liability the paper highlights).
-	d.Epsilon = 0.10
-	return d
-}
-
 // FreshQTable returns the table-based Q-learning baseline pretrained on the
-// Mi-Bench suite. The Figure 3/4 comparison uses this learner: its
-// per-state updates adapt faster than the deep-Q variant on short
-// sequences, which makes it the *stronger* RL baseline here — and it still
+// Mi-Bench suite. The Figure 3/4 comparison uses this learner, and it
 // fails to converge, which is the paper's point.
 func (s *Study) FreshQTable(pretrainPasses int) *rl.QTable {
 	q := rl.NewQTable(s.P, s.Opt.Seed+23)

@@ -1,8 +1,8 @@
 // Package mlp implements the small multilayer perceptron used for the
 // online-IL policy (Section IV-A3: "the policy is represented as a neural
-// network and it is updated using the back-propagation algorithm") and for
-// the deep-Q baseline. Training is plain SGD with momentum; everything is
-// deterministic given the seed.
+// network and it is updated using the back-propagation algorithm").
+// Training is plain SGD with momentum; everything is deterministic given
+// the seed.
 package mlp
 
 import (
@@ -401,7 +401,7 @@ func (n *Network) TrainEpochs(xs, ys [][]float64, epochs int, lr, momentum float
 // momentum starts at zero and its scratch and rng are fresh (TrainEpochs
 // re-seeds the rng per call), so training it starts a new optimizer
 // trajectory. Every served and experiment policy clone (MLPPolicy.Clone)
-// and every DQN target network goes through it.
+// goes through it.
 func (n *Network) Clone() *Network {
 	c := &Network{Sizes: append([]int(nil), n.Sizes...), Act: n.Act}
 	for l := range n.W {

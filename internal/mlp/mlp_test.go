@@ -82,8 +82,9 @@ func TestClone(t *testing.T) {
 	}
 }
 
-// TestPredictResultSurvivesTrainStep pins the scratch-buffer contract the
-// DQN training loop depends on: target := n.Predict(s) followed by
+// TestPredictResultSurvivesTrainStep pins the scratch-buffer contract a
+// caller that trains toward its own prediction depends on, as a Q-learning
+// Bellman target does: target := n.Predict(s) followed by
 // n.TrainStep(s, target, ...) must behave exactly as if target had been
 // copied — TrainStep's forward pass runs in the activation scratch, never
 // in the buffer backing Predict's result.
@@ -93,7 +94,7 @@ func TestPredictResultSurvivesTrainStep(t *testing.T) {
 
 	scratch := build()
 	target := scratch.Predict(x)
-	target[0] += 0.3 // the DQN Bellman-target mutation
+	target[0] += 0.3 // a Bellman-target style mutation
 	scratch.TrainStep(x, target, 0.1, 0.5)
 
 	copied := build()

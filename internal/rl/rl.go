@@ -1,5 +1,5 @@
-// Package rl implements the reinforcement-learning baselines of Section
-// IV-A2: a table-based Q-learner and a deep-Q network (ref [14]). The
+// Package rl implements the reinforcement-learning baseline of Section
+// IV-A2, a table-based Q-learner. The
 // paper's argument — and what Figures 3-4 show — is that reward-driven
 // trial-and-error needs far more samples than model-guided imitation
 // learning, so RL fails to converge within a realistic application

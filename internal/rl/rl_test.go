@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"socrm/internal/control"
-	"socrm/internal/counters"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -121,66 +120,4 @@ func TestQTableEnergyImprovesWithTraining(t *testing.T) {
 	if after.Energy >= untrained.Energy {
 		t.Fatalf("training did not reduce energy: %v -> %v", untrained.Energy, after.Energy)
 	}
-}
-
-func TestDQNDecideObserveCycle(t *testing.T) {
-	p := soc.NewXU3()
-	scaler := counters.FitScaler([][]float64{
-		make([]float64, control.NumFeatures),
-		onesVec(control.NumFeatures),
-	})
-	d := NewDQN(p, scaler, 5)
-	st := testState(p, soc.Config{LittleFreqIdx: 6, BigFreqIdx: 9, NLittle: 2, NBig: 2}, 1)
-	for i := 0; i < 40; i++ {
-		cfg := d.Decide(st)
-		if !p.Valid(cfg) {
-			t.Fatalf("invalid config %v", cfg)
-		}
-		next := testState(p, cfg, 1)
-		d.Observe(st, cfg, soc.Result{Energy: 0.2}, next)
-		st = next
-	}
-	if len(d.replay) == 0 {
-		t.Fatal("replay buffer empty after observations")
-	}
-}
-
-func TestDQNEpsilonDecays(t *testing.T) {
-	p := soc.NewXU3()
-	scaler := counters.FitScaler([][]float64{make([]float64, control.NumFeatures), onesVec(control.NumFeatures)})
-	d := NewDQN(p, scaler, 6)
-	e0 := d.Epsilon
-	st := testState(p, soc.Config{LittleFreqIdx: 6, BigFreqIdx: 9, NLittle: 2, NBig: 2}, 1)
-	for i := 0; i < 100; i++ {
-		d.Decide(st)
-	}
-	if d.Epsilon >= e0 {
-		t.Fatal("epsilon did not decay")
-	}
-	if d.Epsilon < d.EpsilonMin {
-		t.Fatal("epsilon fell below the floor")
-	}
-}
-
-func TestDQNReplayCapBounded(t *testing.T) {
-	p := soc.NewXU3()
-	scaler := counters.FitScaler([][]float64{make([]float64, control.NumFeatures), onesVec(control.NumFeatures)})
-	d := NewDQN(p, scaler, 7)
-	d.ReplayCap = 32
-	st := testState(p, soc.Config{LittleFreqIdx: 6, BigFreqIdx: 9, NLittle: 2, NBig: 2}, 1)
-	for i := 0; i < 100; i++ {
-		cfg := d.Decide(st)
-		d.Observe(st, cfg, soc.Result{Energy: 0.2}, st)
-	}
-	if len(d.replay) > 32 {
-		t.Fatalf("replay grew to %d, cap 32", len(d.replay))
-	}
-}
-
-func onesVec(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }

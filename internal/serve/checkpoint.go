@@ -38,11 +38,6 @@ type CheckpointerOptions struct {
 	// Interval is the checkpoint cadence (default 1s). A crash loses at
 	// most this much progress per session.
 	Interval time.Duration
-	// DirtyThreshold flushes early once at least this many sessions have
-	// stepped since their last checkpoint (0 = interval-only). The dirty
-	// count is polled at Interval/4, so a create/step storm checkpoints
-	// sooner than the full interval without any hook in the step path.
-	DirtyThreshold int
 }
 
 // Checkpointer drives periodic durable checkpoints of a Server's sessions.
@@ -111,14 +106,15 @@ func (c *Checkpointer) Stop() {
 
 func (c *Checkpointer) run(stop, done chan struct{}) {
 	defer close(done)
-	// Poll faster than the flush cadence so DirtyThreshold can trigger an
-	// early flush; a poll is one cheap pass over the registry.
+	// Poll faster than the flush cadence so closed sessions are tombstoned
+	// early and the dirty gauge stays fresh; a poll is one cheap pass over
+	// the registry.
 	poll := c.opt.Interval / 4
 	if poll < 10*time.Millisecond {
 		poll = 10 * time.Millisecond
 	}
 	if poll > time.Second {
-		// A long flush interval must not blind the dirty-threshold trigger.
+		// A long flush interval must not blind the tombstone trigger.
 		poll = time.Second
 	}
 	t := time.NewTicker(poll)
@@ -133,8 +129,7 @@ func (c *Checkpointer) run(stop, done chan struct{}) {
 			dirty := c.dirtyCount()
 			c.mDirty.Set(float64(dirty))
 			due := time.Since(lastFlush) >= c.opt.Interval
-			early := c.opt.DirtyThreshold > 0 && dirty >= c.opt.DirtyThreshold
-			if (due && dirty > 0) || early || c.staleDeletes() {
+			if (due && dirty > 0) || c.staleDeletes() {
 				c.Flush()
 				lastFlush = time.Now()
 			} else if due {

@@ -129,31 +129,6 @@ func TestCheckpointerTombstones(t *testing.T) {
 	}
 }
 
-func TestCheckpointerDirtyThreshold(t *testing.T) {
-	srv, _, _ := newTestServer(t, nil)
-	store := newCkptStore(t)
-	// Interval far in the future: only the dirty threshold can trigger.
-	ck := NewCheckpointer(srv, CheckpointerOptions{Store: store, Interval: time.Hour, DirtyThreshold: 2})
-	ck.Start()
-	defer ck.Stop()
-
-	a, _ := srv.CreateSession(CreateRequest{Policy: "ondemand", ID: "a"})
-	b, _ := srv.CreateSession(CreateRequest{Policy: "ondemand", ID: "b"})
-	stepClosedLoop(t, srv, "a", a.Start, 0, 1)
-	stepClosedLoop(t, srv, "b", b.Start, 0, 1)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if live, _, _ := store.Stats(); live == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dirty threshold never triggered a flush")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestCompactionVsTickerFlush races explicit store compactions against the
 // checkpointer's ticker flushes and live stepping (run under -race in CI).
 // The invariant: however the compactions interleave with appends, a final

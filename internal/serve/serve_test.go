@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -243,6 +244,31 @@ func TestMaxSessionsBound(t *testing.T) {
 		CreateRequest{Policy: "performance"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "session limit") {
 		t.Fatalf("err = %v, want session-limit rejection", err)
+	}
+}
+
+// TestStepAdmissionSheds: with the backend's only admission slot held and
+// no wait queue, both step endpoints shed with 429 + Retry-After before
+// touching the body or the session registry.
+func TestStepAdmissionSheds(t *testing.T) {
+	srv, ts, _ := newTestServer(t, func(o *Options) { o.StepInflight = 1 })
+	if !srv.limiter.Acquire(context.Background()) {
+		t.Fatal("could not claim the only admission slot")
+	}
+	defer srv.limiter.Release()
+	for _, path := range []string{"/v1/sessions/s-1/step", "/v1/step/batch"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("POST %s = %d, Retry-After %q; want 429, \"1\"",
+				path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	if got := srv.Metrics().Meter("socserved_step_shed_total", "").Value(); got != 2 {
+		t.Fatalf("socserved_step_shed_total = %v, want 2", got)
 	}
 }
 

@@ -158,16 +158,11 @@ func New(opt Options) *Server {
 	}
 	if opt.StepInflight > 0 {
 		srv.limiter = NewLimiter(LimiterOptions{
-			Inflight: opt.StepInflight,
-			Queue:    opt.StepQueue,
-			QueueWait: func() time.Duration {
-				if opt.StepQueueWait > 0 {
-					return opt.StepQueueWait
-				}
-				return 100 * time.Millisecond
-			}(),
-			Registry: reg,
-			Name:     "socserved_step",
+			Inflight:  opt.StepInflight,
+			Queue:     opt.StepQueue,
+			QueueWait: opt.StepQueueWait,
+			Registry:  reg,
+			Name:      "socserved_step",
 		})
 	}
 	return srv
