@@ -340,7 +340,6 @@ func BenchmarkOnlineILDecision(b *testing.B) {
 func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control.State {
 	b.Helper()
 	p := s.P
-	tr := oil.Trainer()
 	for _, app := range s.MiBench {
 		cfg := p.Clamp(soc.Config{LittleFreqIdx: 4, BigFreqIdx: 6, NLittle: 4, NBig: 2})
 		for _, sn := range app.Snippets {
@@ -351,9 +350,9 @@ func benchAggState(b *testing.B, s *experiments.Study, oil *il.OnlineIL) control
 				Config:   cfg,
 				Threads:  sn.Threads,
 			}
-			buf, upd := tr.Buffered(), tr.Updates()
+			buf, upd := oil.Buffered(), oil.Updates()
 			next := p.Clamp(oil.Decide(st))
-			if tr.Buffered() > buf || tr.Updates() > upd {
+			if oil.Buffered() > buf || oil.Updates() > upd {
 				return st
 			}
 			oil.Models.Update(st)
@@ -513,10 +512,10 @@ func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 				sn := app.Snippets[pos%snippets]
 				res := p.Execute(sn, cfg)
 				st := control.State{Counters: res.Counters, Derived: res.Counters.Derived(), Config: cfg, Threads: sn.Threads}
-				queued := oil.Trainer().Buffered()
+				queued := oil.Buffered()
 				best := oil.Decide(st)
 				next = p.Clamp(best)
-				if capturing && oil.Trainer().Buffered() > queued {
+				if capturing && oil.Buffered() > queued {
 					// Decide queued the state's features labelled with best.
 					x := make([]float64, control.NumFeatures)
 					sr.xs = append(sr.xs, oil.Policy().Scaler.TransformInto(x, st.AppendFeatures(nil, p)))
@@ -546,7 +545,8 @@ func servedRetrainBatch(b *testing.B) (*il.OnlineIL, [][]float64, [][]float64) {
 }
 
 // BenchmarkMLPRetrainServing is one inline online-IL retrain: 8 samples x
-// 80 epochs at lr 0.02 and momentum 0.9 (the learner's defaults) of the
+// il.UpdateEpochs epochs at il.UpdateLR with il.UpdateMomentum (the
+// learner's update schedule: 80 epochs, lr 0.02, momentum 0.9) of the
 // serving bootstrap policy on standardized served features — the unit of
 // training work fleet-learn pays 32 times per op. The bootstrap scaler
 // maps served input columns to exactly 0 (zero_cols reports how many), so
@@ -572,7 +572,7 @@ func BenchmarkMLPRetrainServing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.TrainEpochs(xs, ys, oil.Epochs, oil.LR, oil.Momentum, oil.Seed+int64(i))
+		net.TrainEpochs(xs, ys, il.UpdateEpochs, il.UpdateLR, il.UpdateMomentum, oil.Seed+int64(i))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(zeroCols), "zero_cols")

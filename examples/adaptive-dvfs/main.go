@@ -28,7 +28,7 @@ func main() {
 		train[i].Snippets = train[i].Snippets[:40]
 	}
 	ds := il.BuildDataset(platform, orc, train)
-	policy, err := il.TrainMLPPolicy(platform, ds, il.DefaultMLPOptions())
+	policy, err := il.TrainMLPPolicy(platform, ds)
 	if err != nil {
 		log.Fatal(err)
 	}

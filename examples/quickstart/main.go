@@ -43,7 +43,7 @@ func main() {
 
 	// Offline IL: imitate the Oracle with a small neural network.
 	ds := il.BuildDataset(platform, orc, []workload.Application{app})
-	policy, err := il.TrainMLPPolicy(platform, ds, il.DefaultMLPOptions())
+	policy, err := il.TrainMLPPolicy(platform, ds)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,8 +48,9 @@ func routerOver(t *testing.T, backend string, opt RouterOptions) (*Router, *http
 	return rt, front
 }
 
-// postStep posts a step through the router without following redirects.
-func postStep(t *testing.T, front, id string) (int, string) {
+// postStep posts a step through the router without following redirects and
+// returns the status, the Content-Type and the body.
+func postStep(t *testing.T, front, id string) (int, string, string) {
 	t.Helper()
 	hc := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
 	resp, err := hc.Post(front+"/v1/sessions/"+id+"/step", "application/json", bytes.NewReader([]byte(`{"threads":1}`)))
@@ -60,7 +62,25 @@ func postStep(t *testing.T, front, id string) (int, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, string(body)
+	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+}
+
+// checkErrorBody checks that a router error response is JSON whose error
+// field reads exactly as Client.Do's error for the same call.
+func checkErrorBody(t *testing.T, ctype, body string, want error) {
+	t.Helper()
+	if ctype != "application/json" {
+		t.Fatalf("router error served as %q, want application/json", ctype)
+	}
+	var got struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatalf("router error body %q does not decode: %v", body, err)
+	}
+	if got.Error != want.Error() {
+		t.Fatalf("router error\n got %q\nwant %q (Client.Do's text)", got.Error, want.Error())
+	}
 }
 
 // clientDoError is the error http.Client.Do reports for the same call.
@@ -84,7 +104,7 @@ func TestRouterClientTimeoutCapsCallTimeout(t *testing.T) {
 	client := &http.Client{Timeout: 100 * time.Millisecond}
 	rt, front := routerOver(t, backend.URL, RouterOptions{Client: client, CallTimeout: time.Minute})
 	start := time.Now()
-	status, body := postStep(t, front.URL, "s-1")
+	status, ctype, body := postStep(t, front.URL, "s-1")
 	// One capped attempt per relocation round, until the 2 s relocation
 	// budget runs out — far below the minute-long CallTimeout.
 	if elapsed := time.Since(start); elapsed > relocateRetryBudget+5*time.Second {
@@ -93,10 +113,7 @@ func TestRouterClientTimeoutCapsCallTimeout(t *testing.T) {
 	if status != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502: %s", status, body)
 	}
-	want := fmt.Sprintf(`{"error":"%v"}`+"\n", clientDoError(t, client, backend.URL+"/v1/sessions/s-1/step"))
-	if body != want {
-		t.Fatalf("router error\n got %q\nwant %q (Client.Do's text)", body, want)
-	}
+	checkErrorBody(t, ctype, body, clientDoError(t, client, backend.URL+"/v1/sessions/s-1/step"))
 	if routerCounter(rt, "socrouted_proxy_errors_total") == 0 {
 		t.Fatal("timed-out calls not counted as proxy errors")
 	}
@@ -114,14 +131,11 @@ func TestRouterRefusedConnectionRetries(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	rt, front := routerOver(t, backend.URL, RouterOptions{Client: client, RetryBackoff: time.Millisecond})
 	backend.Close() // still on the ring; every dial is now refused
-	status, body := postStep(t, front.URL, "s-1")
+	status, ctype, body := postStep(t, front.URL, "s-1")
 	if status != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502: %s", status, body)
 	}
-	want := fmt.Sprintf(`{"error":"%v"}`+"\n", clientDoError(t, client, backend.URL+"/v1/sessions/s-1/step"))
-	if body != want {
-		t.Fatalf("router error\n got %q\nwant %q (Client.Do's text)", body, want)
-	}
+	checkErrorBody(t, ctype, body, clientDoError(t, client, backend.URL+"/v1/sessions/s-1/step"))
 	if routerCounter(rt, "socrouted_retries_total") == 0 {
 		t.Fatal("a refused step was not retried")
 	}
@@ -139,7 +153,7 @@ func TestRouterReturnsBackendRedirect(t *testing.T) {
 		http.Redirect(w, r, backend.URL+"/v1/sessions/moved/step", http.StatusTemporaryRedirect)
 	})
 	_, front := routerOver(t, backend.URL, RouterOptions{})
-	status, body := postStep(t, front.URL, "s-1")
+	status, _, body := postStep(t, front.URL, "s-1")
 	if status != http.StatusTemporaryRedirect {
 		t.Fatalf("status %d, want the backend's 307: %s", status, body)
 	}

@@ -696,7 +696,7 @@ func (rt *Router) writeProxied(w http.ResponseWriter, status int, body []byte) {
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req serve.CreateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxRouterBody)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"decoding request: %v"}`, err), http.StatusBadRequest)
+		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if req.ID == "" {
@@ -705,12 +705,12 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	ring := rt.ring.Load()
 	owner := ring.Owner(req.ID)
 	if owner == "" {
-		http.Error(w, `{"error":"no ready backends"}`, http.StatusServiceUnavailable)
+		serve.WriteError(w, http.StatusServiceUnavailable, "no ready backends")
 		return
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"%v"}`, err), http.StatusInternalServerError)
+		serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	targets := append([]string{owner}, ring.Nodes()...)
@@ -734,7 +734,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	http.Error(w, `{"error":"no backend accepted the session"}`, http.StatusServiceUnavailable)
+	serve.WriteError(w, http.StatusServiceUnavailable, "no backend accepted the session")
 }
 
 // handleSession forwards a session-scoped request with migration chasing.
@@ -757,13 +757,13 @@ func (rt *Router) handleSession(method, suffix string) http.HandlerFunc {
 			var err error
 			body, err = io.ReadAll(io.LimitReader(r.Body, maxRouterBody))
 			if err != nil {
-				http.Error(w, fmt.Sprintf(`{"error":"%v"}`, err), http.StatusBadRequest)
+				serve.WriteError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 		}
 		data, status, _, err := rt.callSession(r.Context(), method, id, "/v1/sessions/"+id+suffix, body, "application/json")
 		if err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":"%v"}`, err), status)
+			serve.WriteError(w, status, "%v", err)
 			return
 		}
 		if method == http.MethodDelete && status == http.StatusOK {
@@ -788,16 +788,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer rt.limiter.Release()
 	var req serve.BatchRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxRouterBody)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"decoding request: %v"}`, err), http.StatusBadRequest)
+		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Entries) == 0 {
-		http.Error(w, `{"error":"batch request carries no entries"}`, http.StatusBadRequest)
+		serve.WriteError(w, http.StatusBadRequest, "batch request carries no entries")
 		return
 	}
 	if len(req.Entries) > serve.MaxBatchEntries {
-		http.Error(w, fmt.Sprintf(`{"error":"batch carries %d entries, cap is %d"}`,
-			len(req.Entries), serve.MaxBatchEntries), http.StatusRequestEntityTooLarge)
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, "batch carries %d entries, cap is %d",
+			len(req.Entries), serve.MaxBatchEntries)
 		return
 	}
 	results := make([]serve.BatchResult, len(req.Entries))

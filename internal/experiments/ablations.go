@@ -159,7 +159,7 @@ type CadencePoint struct {
 // pool (workers: 0 = GOMAXPROCS, 1 = serial).
 func CadenceAblation(seed int64, periods []int, workers int) ([]CadencePoint, error) {
 	dev := gpu.NewIntelGen9()
-	trace := workload.Fig5Traces(30, seed)[0] // 3DMarkIceStorm: scene-heavy
+	trace := workload.Fig5Traces(fig5FPS, seed)[0] // 3DMarkIceStorm: scene-heavy
 	budget := trace.Budget()
 	start := gpu.State{FreqIdx: len(dev.OPPs) / 2, Slices: dev.MaxSlices}
 	base := nmpc.RunTrace(dev, trace, nmpc.NewBaseline(dev), nmpc.RunOptions{Start: start})
@@ -174,7 +174,7 @@ func CadenceAblation(seed int64, periods []int, workers int) ([]CadencePoint, er
 		ctrl := &nmpc.Explicit{
 			Dev: dev, Models: models,
 			FreqSurf: ref.FreqSurf, SliceSurf: ref.SliceSurf,
-			SlowPeriod: k, Margin: ref.Margin,
+			SlowPeriod: k,
 		}
 		res := nmpc.RunTrace(dev, trace, ctrl, nmpc.RunOptions{Start: start})
 		return CadencePoint{

@@ -29,14 +29,16 @@ type Fig5Result struct {
 // Fig5Options tunes the experiment.
 type Fig5Options struct {
 	Seed int64
-	FPS  float64
 	Temp float64 // platform temperature; the paper notes savings hold across thermal conditions
 	// Workers bounds the per-trace worker pool: 0 = GOMAXPROCS, 1 = serial.
 	Workers int
 }
 
+// fig5FPS is the frame rate every Figure 5 title targets.
+const fig5FPS = 30
+
 // DefaultFig5Options matches the reproduction defaults.
-func DefaultFig5Options() Fig5Options { return Fig5Options{Seed: 42, FPS: 30, Temp: 45} }
+func DefaultFig5Options() Fig5Options { return Fig5Options{Seed: 42, Temp: 45} }
 
 // Fig5 runs every graphics trace under the baseline governor and under
 // explicit NMPC, and reports the three energy-savings rows of Figure 5.
@@ -46,7 +48,7 @@ func DefaultFig5Options() Fig5Options { return Fig5Options{Seed: 42, FPS: 30, Te
 func Fig5(opt Fig5Options) (Fig5Result, error) {
 	dev := gpu.NewIntelGen9()
 	dev.Temp = opt.Temp
-	traces := workload.Fig5Traces(opt.FPS, opt.Seed)
+	traces := workload.Fig5Traces(fig5FPS, opt.Seed)
 	budget := traces[0].Budget()
 
 	// Offline phase: warm sensitivity models, sample the NMPC surface. Only
@@ -74,7 +76,7 @@ func Fig5(opt Fig5Options) (Fig5Result, error) {
 		ctrl := &nmpc.Explicit{
 			Dev: dev, Models: models,
 			FreqSurf: explicitRef.FreqSurf, SliceSurf: explicitRef.SliceSurf,
-			SlowPeriod: explicitRef.SlowPeriod, Margin: explicitRef.Margin,
+			SlowPeriod: explicitRef.SlowPeriod,
 		}
 		en := nmpc.RunTrace(dev, tr, ctrl, nmpc.RunOptions{Start: start})
 

@@ -13,7 +13,6 @@ import (
 	"socrm/internal/control"
 	"socrm/internal/il"
 	"socrm/internal/oracle"
-	"socrm/internal/regtree"
 	"socrm/internal/rl"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
@@ -100,11 +99,11 @@ func NewStudy(opt Options) (*Study, error) {
 // trainPolicies fits the offline MLP and tree policies from the study's
 // dataset.
 func (s *Study) trainPolicies() (*il.MLPPolicy, *il.TreePolicy, error) {
-	pol, err := il.TrainMLPPolicy(s.P, s.dataset, il.DefaultMLPOptions())
+	pol, err := il.TrainMLPPolicy(s.P, s.dataset)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: offline policy training: %w", err)
 	}
-	tree, err := il.TrainTreePolicy(s.P, s.dataset, regtree.DefaultParams())
+	tree, err := il.TrainTreePolicy(s.P, s.dataset)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: offline tree policy training: %w", err)
 	}

@@ -25,7 +25,7 @@ func allocFixture(t *testing.T) *OnlineIL {
 	t.Helper()
 	p := soc.NewXU3()
 	ds := BuildDataset(p, oracle.New(p, oracle.Energy), shortApps(12))
-	pol, err := TrainMLPPolicy(p, ds, DefaultMLPOptions())
+	pol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func TestDecideAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(300, func() { oil.Decide(st) }); avg != 0 {
 		t.Fatalf("Decide allocates %.1f objects per call, want 0", avg)
 	}
-	if oil.Updates() != 0 || oil.Trainer().Buffered() != 0 {
+	if oil.Updates() != 0 || oil.Buffered() != 0 {
 		t.Fatalf("fixture aggregated samples (updates=%d, buffered=%d); the scenario must stay on the pure evaluation path",
-			oil.Updates(), oil.Trainer().Buffered())
+			oil.Updates(), oil.Buffered())
 	}
 }
 
@@ -62,9 +62,9 @@ func findAggState(t *testing.T, oil *OnlineIL) control.State {
 		cfg := p.Clamp(soc.Config{LittleFreqIdx: 4, BigFreqIdx: 6, NLittle: 4, NBig: 2})
 		for _, sn := range app.Snippets {
 			st := stateFor(p, sn, cfg)
-			buf, upd := oil.Trainer().Buffered(), oil.Updates()
+			buf, upd := oil.Buffered(), oil.Updates()
 			next := p.Clamp(oil.Decide(st))
-			if oil.Trainer().Buffered() > buf || oil.Updates() > upd {
+			if oil.Buffered() > buf || oil.Updates() > upd {
 				return st
 			}
 			oil.Models.Update(st)

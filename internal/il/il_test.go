@@ -6,7 +6,6 @@ import (
 
 	"socrm/internal/control"
 	"socrm/internal/oracle"
-	"socrm/internal/regtree"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -48,7 +47,7 @@ func TestMLPPolicyImitatesOracle(t *testing.T) {
 	orc := oracle.New(p, oracle.Energy)
 	apps := shortApps(20)
 	ds := BuildDataset(p, orc, apps)
-	pol, err := TrainMLPPolicy(p, ds, DefaultMLPOptions())
+	pol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestTreePolicyTrains(t *testing.T) {
 	p := soc.NewXU3()
 	orc := oracle.New(p, oracle.Energy)
 	ds := BuildDataset(p, orc, shortApps(15))
-	pol, err := TrainTreePolicy(p, ds, regtree.DefaultParams())
+	pol, err := TrainTreePolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +86,10 @@ func TestTreePolicyTrains(t *testing.T) {
 
 func TestTrainEmptyDatasetErrors(t *testing.T) {
 	p := soc.NewXU3()
-	if _, err := TrainMLPPolicy(p, Dataset{}, DefaultMLPOptions()); err == nil {
+	if _, err := TrainMLPPolicy(p, Dataset{}); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := TrainTreePolicy(p, Dataset{}, regtree.DefaultParams()); err == nil {
+	if _, err := TrainTreePolicy(p, Dataset{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -99,7 +98,7 @@ func TestPolicyClone(t *testing.T) {
 	p := soc.NewXU3()
 	orc := oracle.New(p, oracle.Energy)
 	ds := BuildDataset(p, orc, shortApps(10))
-	pol, err := TrainMLPPolicy(p, ds, DefaultMLPOptions())
+	pol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestOnlineILAdaptsToUnseenApp(t *testing.T) {
 	p := soc.NewXU3()
 	orc := oracle.New(p, oracle.Energy)
 	ds := BuildDataset(p, orc, shortApps(20))
-	pol, err := TrainMLPPolicy(p, ds, DefaultMLPOptions())
+	pol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestOnlineILSeedDecorrelates(t *testing.T) {
 	p := soc.NewXU3()
 	orc := oracle.New(p, oracle.Energy)
 	ds := BuildDataset(p, orc, shortApps(12))
-	pol, err := TrainMLPPolicy(p, ds, DefaultMLPOptions())
+	pol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

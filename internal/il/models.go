@@ -33,14 +33,15 @@ type OnlineModels struct {
 	// AdaptInterceptOnly freezes the CPI slopes (platform constants such
 	// as memory latency and branch penalty, identified at design time with
 	// rich excitation) and adapts only the workload-dependent intercept at
-	// runtime. Full-RLS online updates are kept selectable for the
-	// forgetting-factor ablation: with the narrow feature excitation of a
-	// settled controller they let the slopes drift, which is the
-	// instability STAFF (ref [30]) exists to stabilize.
+	// runtime, with step interceptGain. WarmStart clears it for its
+	// design-time sweep, the only place full-RLS CPI updates run: with the
+	// narrow feature excitation of a settled controller they would let the
+	// slopes drift, the instability STAFF (ref [30]) exists to stabilize.
 	AdaptInterceptOnly bool
-	// InterceptGain is the EW-average step of the intercept adaptation.
-	InterceptGain float64
 }
+
+// interceptGain is the EW-average step of the intercept adaptation.
+const interceptGain float64 = 0.7
 
 // Model feature dimensions.
 const (
@@ -55,11 +56,10 @@ const minPower = 0.05
 // paper's design-time bootstrapping.
 func NewOnlineModels(p *soc.Platform) *OnlineModels {
 	return &OnlineModels{
-		P:             p,
-		CPIBig:        rls.New(cpiDim, 0.95, 100),
-		CPILittle:     rls.New(cpiDim, 0.95, 100),
-		Power:         rls.New(powerDim, 0.995, 100),
-		InterceptGain: 0.7,
+		P:         p,
+		CPIBig:    rls.New(cpiDim, 0.95, 100),
+		CPILittle: rls.New(cpiDim, 0.95, 100),
+		Power:     rls.New(powerDim, 0.995, 100),
 	}
 }
 
@@ -74,7 +74,6 @@ func (m *OnlineModels) Clone() *OnlineModels {
 		CPILittle:          m.CPILittle.Clone(),
 		Power:              m.Power.Clone(),
 		AdaptInterceptOnly: m.AdaptInterceptOnly,
-		InterceptGain:      m.InterceptGain,
 	}
 }
 
@@ -294,7 +293,7 @@ func (m *OnlineModels) updateCPI(model *rls.RLS, x []float64, target float64) {
 		slopePart += model.W[i] * x[i]
 	}
 	resid := target - slopePart
-	model.W[0] += m.InterceptGain * (resid - model.W[0])
+	model.W[0] += interceptGain * (resid - model.W[0])
 }
 
 // WarmStart reproduces the paper's offline model construction: it executes

@@ -98,32 +98,26 @@ func (m *MLPPolicy) PredictConfig(features []float64) soc.Config {
 	return m.P.FromFeatures(out)
 }
 
-// MLPOptions configures policy training.
-type MLPOptions struct {
-	Hidden   []int
-	Epochs   int
-	LR       float64
-	Momentum float64
-	Seed     int64
-}
-
-// DefaultMLPOptions sizes the network to fit comfortably in an OS governor
-// (a few thousand parameters).
-func DefaultMLPOptions() MLPOptions {
-	return MLPOptions{Hidden: []int{24, 16}, Epochs: 200, LR: 0.01, Momentum: 0.9, Seed: 7}
-}
+// The offline policy's training (Section IV-A1): two tanh hidden layers of
+// 24 and 16 units, sized to fit comfortably in an OS governor (a few
+// thousand parameters), trained mlpEpochs epochs at mlpLR with
+// mlpMomentum. mlpSeed initializes the weights and mlpSeed+1 shuffles.
+const (
+	mlpEpochs           = 200
+	mlpLR       float64 = 0.01
+	mlpMomentum float64 = 0.9
+	mlpSeed             = 7
+)
 
 // TrainMLPPolicy fits the neural policy on an Oracle-labeled dataset.
-func TrainMLPPolicy(p *soc.Platform, ds Dataset, opt MLPOptions) (*MLPPolicy, error) {
+func TrainMLPPolicy(p *soc.Platform, ds Dataset) (*MLPPolicy, error) {
 	if len(ds.X) == 0 {
 		return nil, fmt.Errorf("il: empty dataset")
 	}
 	scaler := counters.FitScaler(ds.X)
 	xs := scaler.TransformAll(ds.X)
-	sizes := append([]int{len(ds.X[0])}, opt.Hidden...)
-	sizes = append(sizes, 4)
-	net := mlp.New(opt.Seed, mlp.Tanh, sizes...)
-	net.TrainEpochs(xs, ds.Y, opt.Epochs, opt.LR, opt.Momentum, opt.Seed+1)
+	net := mlp.New(mlpSeed, mlp.Tanh, len(ds.X[0]), 24, 16, soc.NumConfigFeatures)
+	net.TrainEpochs(xs, ds.Y, mlpEpochs, mlpLR, mlpMomentum, mlpSeed+1)
 	return &MLPPolicy{Net: net, Scaler: scaler, P: p}, nil
 }
 
@@ -151,14 +145,15 @@ func (t *TreePolicy) PredictConfig(features []float64) soc.Config {
 	return t.P.FromFeatures(out)
 }
 
-// TrainTreePolicy fits the tree policy on an Oracle-labeled dataset.
-func TrainTreePolicy(p *soc.Platform, ds Dataset, params regtree.Params) (*TreePolicy, error) {
+// TrainTreePolicy fits the tree policy, with regtree's default parameters,
+// on an Oracle-labeled dataset.
+func TrainTreePolicy(p *soc.Platform, ds Dataset) (*TreePolicy, error) {
 	if len(ds.X) == 0 {
 		return nil, fmt.Errorf("il: empty dataset")
 	}
 	scaler := counters.FitScaler(ds.X)
 	xs := scaler.TransformAll(ds.X)
-	forest, err := regtree.FitForest(xs, ds.Y, params)
+	forest, err := regtree.FitForest(xs, ds.Y, regtree.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,10 @@ import (
 // the adaptive analytical models; the best candidate becomes (a) the
 // executed configuration and (b) the runtime approximation of the Oracle
 // that supervises the policy. Labeled states aggregate in the learner's
-// Trainer, which re-trains the neural policy in place with
-// back-propagation inside the Decide that queues a buffer's worth — the
-// paper's pipeline. An OnlineIL is not safe for concurrent use: a served
-// session calls it under the session lock.
+// experience queue, and the Decide that queues a buffer's worth re-trains
+// the neural policy in place with back-propagation — the paper's pipeline.
+// An OnlineIL is not safe for concurrent use: a served session calls it
+// under the session lock.
 type OnlineIL struct {
 	P      *soc.Platform
 	Models *OnlineModels
@@ -24,25 +24,24 @@ type OnlineIL struct {
 	// BufferCap is the aggregation-buffer size; the paper reports that
 	// ~100 stored decisions need under 20 KB.
 	BufferCap int
-	// Epochs/LR/Momentum control each incremental policy update.
-	Epochs   int
-	LR       float64
-	Momentum float64
-	// Warmup is the number of initial decisions executed from the policy
-	// alone while the online models settle on the new workload.
-	Warmup int
 	// Seed drives the stochastic shuffling of incremental policy updates.
 	// Two learners sharing a process must be given distinct seeds or their
 	// training trajectories are perfectly correlated; DefaultSeed preserves
 	// the historical single-learner behaviour.
 	Seed int64
 
-	// pol is the policy the decide path reads and the trainer trains in
+	// pol is the policy the decide path reads and each retrain trains in
 	// place.
-	pol     *MLPPolicy
-	trainer *Trainer
+	pol *MLPPolicy
 
 	decisions int
+
+	// queue holds the aggregated samples not yet trained on, oldest first.
+	// A learner that retrains inline never queues more than BufferCap; an
+	// imported one may hold up to queueBuffers aggregation buffers.
+	queue   []Sample
+	dropped uint64
+	updates int64
 
 	// Decision-path scratch, reused across calls so a steady-state Decide
 	// allocates nothing: the state feature vector, the aggregation label
@@ -50,6 +49,38 @@ type OnlineIL struct {
 	featBuf []float64
 	labBuf  []float64
 	ev      *Evaluator
+
+	// Retrain scratch, reused across retrains: the standardized features
+	// and the labels of the queued samples.
+	txX [][]float64
+	ys  [][]float64
+}
+
+// The paper's online-IL update schedule (Section IV-A3): every incremental
+// policy update trains UpdateEpochs epochs at UpdateLR with UpdateMomentum,
+// and the first warmupDecisions decisions execute the policy's own choice
+// while the online models settle on the new workload.
+const (
+	UpdateEpochs            = 80
+	UpdateLR        float64 = 0.02
+	UpdateMomentum  float64 = 0.9
+	warmupDecisions         = 2
+)
+
+// queueBuffers is the experience queue's capacity in aggregation buffers:
+// a learner queues at most queueBuffers*BufferCap samples, and beyond that
+// drops its oldest. A learner that retrains inline never queues more than
+// BufferCap; the larger bound is the wire format's, so an envelope written
+// by a daemon that trained in the background, with up to four buffers'
+// worth queued, still imports.
+const queueBuffers = 4
+
+// Sample is one experience-queue entry: the state features the policy saw
+// and the model-labeled target configuration. The arrays are fixed-size so
+// enqueueing is a straight copy — the decide path stays allocation-free.
+type Sample struct {
+	X [control.NumFeatures]float64
+	Y [soc.NumConfigFeatures]float64
 }
 
 // DefaultSeed is the historical training seed of a fresh OnlineIL. All
@@ -57,7 +88,7 @@ type OnlineIL struct {
 const DefaultSeed = 101
 
 // NewOnlineIL wraps an offline-trained policy and warm-started models with
-// the paper's default online-IL hyperparameters and the historical default
+// the paper's default neighborhood and buffer and the historical default
 // seed.
 func NewOnlineIL(p *soc.Platform, policy *MLPPolicy, models *OnlineModels) *OnlineIL {
 	return NewOnlineILSeeded(p, policy, models, DefaultSeed)
@@ -67,20 +98,14 @@ func NewOnlineIL(p *soc.Platform, policy *MLPPolicy, models *OnlineModels) *Onli
 // processes hosting many concurrent learners (e.g. one per served session)
 // that must not be correlated.
 func NewOnlineILSeeded(p *soc.Platform, policy *MLPPolicy, models *OnlineModels, seed int64) *OnlineIL {
-	o := &OnlineIL{
+	return &OnlineIL{
 		P:         p,
 		Models:    models,
 		Radius:    3,
 		BufferCap: 8,
-		Epochs:    80,
-		LR:        0.02,
-		Momentum:  0.9,
-		Warmup:    2,
 		Seed:      seed,
 		pol:       policy,
 	}
-	o.trainer = &Trainer{o: o}
-	return o
 }
 
 // Name implements control.Decider.
@@ -88,9 +113,6 @@ func (o *OnlineIL) Name() string { return "online-il" }
 
 // Policy returns the learner's policy, which each retrain updates in place.
 func (o *OnlineIL) Policy() *MLPPolicy { return o.pol }
-
-// Trainer returns the learner's training side.
-func (o *OnlineIL) Trainer() *Trainer { return o.trainer }
 
 // PolicyConfig returns what the policy alone would choose — the quantity
 // whose agreement with the Oracle Figure 3 tracks over time.
@@ -104,7 +126,7 @@ func (o *OnlineIL) PolicyConfig(st control.State) soc.Config {
 // the evaluator sweeps the candidate neighborhood in place (Evaluator.Best)
 // without materializing it, feature vectors and model scratch are reused
 // buffers, and the CPI predictions are memoized per frequency pair. Every
-// BufferCap-th aggregated decision also pays the Trainer's retrain.
+// BufferCap-th aggregated decision also pays Ingest's retrain.
 func (o *OnlineIL) Decide(st control.State) soc.Config {
 	o.decisions++
 	polCfg := o.PolicyConfig(st)
@@ -124,19 +146,18 @@ func (o *OnlineIL) Decide(st control.State) soc.Config {
 		}
 	}
 
-	// Aggregate the model-labeled sample through the trainer (which
-	// retrains when a buffer's worth has accumulated). Transitional
-	// decisions — where the candidate argmin sits on the neighborhood
-	// boundary, meaning the true optimum is still outside the search
-	// radius — would teach the policy way-points rather than destinations,
-	// so they are not aggregated. featBuf still holds st's features from
-	// PolicyConfig.
+	// Aggregate the model-labeled sample (Ingest retrains when a buffer's
+	// worth has accumulated). Transitional decisions — where the candidate
+	// argmin sits on the neighborhood boundary, meaning the true optimum is
+	// still outside the search radius — would teach the policy way-points
+	// rather than destinations, so they are not aggregated. featBuf still
+	// holds st's features from PolicyConfig.
 	if o.interior(st.Config, best) {
 		o.labBuf = o.P.AppendFeatures(o.labBuf[:0], best)
-		o.trainer.Ingest(o.featBuf, o.labBuf)
+		o.Ingest(o.featBuf, o.labBuf)
 	}
 
-	if o.decisions <= o.Warmup {
+	if o.decisions <= warmupDecisions {
 		return polCfg
 	}
 	return best
@@ -160,8 +181,60 @@ func (o *OnlineIL) interior(cur, best soc.Config) bool {
 		in(cur.NBig, best.NBig, soc.MinNBig, soc.MaxNBig)
 }
 
+// Ingest queues one aggregated sample, dropping the oldest queued sample
+// when the queue is full. The slices are borrowed from the caller's decision
+// scratch and copied. Once a buffer's worth is queued, Ingest retrains the
+// policy on the whole queue, oldest first, and empties it.
+func (o *OnlineIL) Ingest(x, y []float64) {
+	s := o.enqueue()
+	copy(s.X[:], x)
+	copy(s.Y[:], y)
+	if len(o.queue) >= o.BufferCap {
+		o.retrain()
+	}
+}
+
+// enqueue appends an empty sample to the queue and returns it, first
+// dropping the oldest sample, counted as dropped, when the queue already
+// holds queueBuffers aggregation buffers.
+func (o *OnlineIL) enqueue() *Sample {
+	if len(o.queue) >= queueBuffers*o.BufferCap {
+		o.queue = append(o.queue[:0], o.queue[1:]...)
+		o.dropped++
+	}
+	o.queue = append(o.queue, Sample{})
+	return &o.queue[len(o.queue)-1]
+}
+
+// retrain is the policy update: standardize the queued samples with the
+// policy's scaler, train the policy on them in place with the next seed of
+// the update schedule, and empty the queue.
+func (o *OnlineIL) retrain() {
+	pol := o.pol
+	n := len(o.queue)
+	for len(o.txX) < n {
+		o.txX = append(o.txX, nil)
+		o.ys = append(o.ys, nil)
+	}
+	txX, ys := o.txX[:n], o.ys[:n]
+	for i := range o.queue {
+		s := &o.queue[i]
+		if cap(txX[i]) < len(s.X) {
+			txX[i] = make([]float64, len(s.X))
+		}
+		txX[i] = pol.Scaler.TransformInto(txX[i][:len(s.X)], s.X[:])
+		ys[i] = s.Y[:]
+	}
+	o.updates++
+	pol.Net.TrainEpochs(txX, ys, UpdateEpochs, UpdateLR, UpdateMomentum, o.Seed+o.updates)
+	o.queue = o.queue[:0]
+}
+
 // Updates returns how many incremental policy updates have happened.
-func (o *OnlineIL) Updates() int { return o.trainer.Updates() }
+func (o *OnlineIL) Updates() int { return int(o.updates) }
+
+// Buffered returns how many samples wait for the next policy update.
+func (o *OnlineIL) Buffered() int { return len(o.queue) }
 
 // BufferBytes reports the storage footprint of a full aggregation buffer
 // (the paper's "<20 KB" figure): float64 features plus labels per slot.

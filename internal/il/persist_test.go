@@ -22,11 +22,11 @@ func trainedPolicies(t testing.TB, snippets int) (Dataset, *MLPPolicy, *TreePoli
 	t.Helper()
 	p := soc.NewXU3()
 	ds := BuildDataset(p, oracle.New(p, oracle.Energy), shortApps(snippets))
-	mlpPol, err := TrainMLPPolicy(p, ds, DefaultMLPOptions())
+	mlpPol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	treePol, err := TrainTreePolicy(p, ds, regtree.DefaultParams())
+	treePol, err := TrainTreePolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

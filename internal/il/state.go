@@ -16,7 +16,7 @@ import (
 // This file is the learner half of session snapshot/migration: every piece
 // of per-session learning state — the policy network with its optimizer
 // momentum, the adaptive RLS models with their covariances, and the
-// trainer's buffered-but-not-yet-trained experience — encodes to a
+// learner's queued-but-not-yet-trained experience — encodes to a
 // deterministic binary layout and decodes back into a learner that
 // continues the exact decision/update trajectory of the source. The serving
 // layer wraps this in its versioned session envelope.
@@ -92,16 +92,18 @@ func decodeScaler(d *snap.Decoder) (*counters.Scaler, error) {
 }
 
 // EncodeTo writes the adaptive model state: the three RLS estimators plus
-// the deployment-adaptation switches.
+// the deployment-adaptation switch and the intercept gain, a constant
+// written so the wire format keeps its field.
 func (m *OnlineModels) EncodeTo(e *snap.Encoder) {
 	m.CPIBig.EncodeTo(e)
 	m.CPILittle.EncodeTo(e)
 	m.Power.EncodeTo(e)
 	e.Bool(m.AdaptInterceptOnly)
-	e.F64(m.InterceptGain)
+	e.F64(interceptGain)
 }
 
 // DecodeOnlineModels reconstructs models written by OnlineModels.EncodeTo.
+// It refuses an intercept gain other than the constant.
 func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error) {
 	cpiBig, err := rls.DecodeRLS(d)
 	if err != nil {
@@ -125,37 +127,38 @@ func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error)
 		CPILittle:          cpiLittle,
 		Power:              power,
 		AdaptInterceptOnly: d.Bool(),
-		InterceptGain:      d.F64(),
 	}
+	gain := d.F64()
 	if err := d.Err(); err != nil {
 		return nil, err
+	}
+	if gain != interceptGain {
+		return nil, fmt.Errorf("il: decoded intercept gain %v, want %v", gain, interceptGain)
 	}
 	return m, nil
 }
 
-// encodeTrainerState writes the trainer's wire shape: how many incremental
-// updates have been published (the per-update seed schedule depends on it),
-// how many samples backpressure has shed, and every sample queued but not
-// yet trained on, oldest first.
-func encodeTrainerState(e *snap.Encoder, t *Trainer) {
-	e.I64(t.updates)
-	e.U64(t.dropped)
-	e.U32(uint32(t.n))
-	for i := 0; i < t.n; i++ {
-		j := t.start + i
-		if j >= len(t.ring) {
-			j -= len(t.ring)
-		}
-		e.F64s(t.ring[j].X[:])
-		e.F64s(t.ring[j].Y[:])
+// encodeQueue writes the experience queue's wire shape: how many
+// incremental updates have been published (the per-update seed schedule
+// depends on it), how many samples the full queue has dropped, and every
+// sample queued but not yet trained on, oldest first.
+func (o *OnlineIL) encodeQueue(e *snap.Encoder) {
+	e.I64(o.updates)
+	e.U64(o.dropped)
+	e.U32(uint32(len(o.queue)))
+	for i := range o.queue {
+		e.F64s(o.queue[i].X[:])
+		e.F64s(o.queue[i].Y[:])
 	}
 }
 
-// decodeTrainerState restores the wire shape into a fresh trainer. The
-// samples are queued without retraining, even a buffer's worth or more
-// (the next Ingest retrains on all of them), and an envelope queueing more
-// than the ring holds is refused.
-func decodeTrainerState(d *snap.Decoder, t *Trainer) error {
+// decodeQueue restores the wire shape into a fresh learner. The samples are
+// queued without retraining, even a buffer's worth or more (the next Ingest
+// retrains on all of them), and an envelope queueing more than
+// queueBuffers aggregation buffers is refused. The queue grows one sample
+// at a time, so a declared count the bytes do not back allocates nothing
+// up front.
+func (o *OnlineIL) decodeQueue(d *snap.Decoder) error {
 	updates := d.I64()
 	dropped := d.U64()
 	n := int(d.U32())
@@ -165,13 +168,13 @@ func decodeTrainerState(d *snap.Decoder, t *Trainer) error {
 	if updates < 0 {
 		return fmt.Errorf("il: decoded update count %d negative", updates)
 	}
-	if limit := ringBuffers * t.o.BufferCap; n > limit {
+	if limit := queueBuffers * o.BufferCap; n > limit {
 		return fmt.Errorf("il: decoded %d queued samples, the experience queue holds %d", n, limit)
 	}
-	t.updates = updates
-	t.dropped = dropped
+	o.updates = updates
+	o.dropped = dropped
 	for i := 0; i < n; i++ {
-		s := t.slot()
+		s := o.enqueue()
 		d.F64sInto(s.X[:])
 		d.F64sInto(s.Y[:])
 		if err := d.Err(); err != nil {
@@ -183,22 +186,25 @@ func decodeTrainerState(d *snap.Decoder, t *Trainer) error {
 
 // EncodeStateTo writes the learner's complete state: hyperparameters, the
 // decision count (warmup gating), the policy snapshot, the adaptive models
-// and the trainer.
+// and the experience queue. The update schedule and warmup are constants,
+// written so the wire format keeps its fields.
 func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 	e.Int(o.Radius)
 	e.Int(o.BufferCap)
-	e.Int(o.Epochs)
-	e.F64(o.LR)
-	e.F64(o.Momentum)
-	e.Int(o.Warmup)
+	e.Int(UpdateEpochs)
+	e.F64(UpdateLR)
+	e.F64(UpdateMomentum)
+	e.Int(warmupDecisions)
 	e.I64(o.Seed)
 	e.Int(o.decisions)
 	o.pol.EncodeTo(e)
 	o.Models.EncodeTo(e)
-	encodeTrainerState(e, o.trainer)
+	o.encodeQueue(e)
 }
 
-// DecodeOnlineILState reconstructs a learner written by EncodeStateTo.
+// DecodeOnlineILState reconstructs a learner written by EncodeStateTo. It
+// refuses an update schedule or warmup other than the constants every
+// learner runs.
 func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	radius := d.Int()
 	bufferCap := d.Int()
@@ -211,9 +217,13 @@ func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if radius <= 0 || bufferCap <= 0 || bufferCap > math.MaxInt/ringBuffers || epochs < 0 || warmup < 0 || decisions < 0 {
-		return nil, fmt.Errorf("il: decoded hyperparameters invalid (radius %d, buffer %d, epochs %d, warmup %d, decisions %d)",
-			radius, bufferCap, epochs, warmup, decisions)
+	if radius <= 0 || bufferCap <= 0 || bufferCap > math.MaxInt/queueBuffers || decisions < 0 {
+		return nil, fmt.Errorf("il: decoded hyperparameters invalid (radius %d, buffer %d, decisions %d)",
+			radius, bufferCap, decisions)
+	}
+	if epochs != UpdateEpochs || lr != UpdateLR || momentum != UpdateMomentum || warmup != warmupDecisions {
+		return nil, fmt.Errorf("il: decoded update schedule (epochs %d, lr %v, momentum %v, warmup %d), want (%d, %v, %v, %d)",
+			epochs, lr, momentum, warmup, UpdateEpochs, UpdateLR, UpdateMomentum, warmupDecisions)
 	}
 	pol, err := DecodeMLPPolicy(d, p)
 	if err != nil {
@@ -226,12 +236,8 @@ func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	o := NewOnlineILSeeded(p, pol, models, seed)
 	o.Radius = radius
 	o.BufferCap = bufferCap
-	o.Epochs = epochs
-	o.LR = lr
-	o.Momentum = momentum
-	o.Warmup = warmup
 	o.decisions = decisions
-	if err := decodeTrainerState(d, o.trainer); err != nil {
+	if err := o.decodeQueue(d); err != nil {
 		return nil, err
 	}
 	return o, nil

@@ -10,16 +10,13 @@ import (
 	"socrm/internal/workload"
 )
 
-// recorded moves what o's trainer queued into rec, oldest first, and
-// empties the ring after a decision, so the learner never reaches a
-// retrain and keeps its policy, its ring never drops, and the test sees
-// exactly what Decide labelled.
+// recorded moves what o queued into rec, oldest first, and empties the
+// queue after a decision, so the learner never reaches a retrain and keeps
+// its policy, its queue never drops, and the test sees exactly what Decide
+// labelled.
 func recorded(rec []Sample, o *OnlineIL) []Sample {
-	t := o.trainer
-	for i := 0; i < t.n; i++ {
-		rec = append(rec, t.ring[(t.start+i)%len(t.ring)])
-	}
-	t.start, t.n = 0, 0
+	rec = append(rec, o.queue...)
+	o.queue = o.queue[:0]
 	return rec
 }
 
@@ -49,9 +46,9 @@ func refDecide(o *OnlineIL, ev *Evaluator, st control.State) (soc.Config, bool) 
 		}
 	}
 	if o.interior(st.Config, best) {
-		o.trainer.Ingest(st.AppendFeatures(nil, o.P), o.P.AppendFeatures(nil, best))
+		o.Ingest(st.AppendFeatures(nil, o.P), o.P.AppendFeatures(nil, best))
 	}
-	if o.decisions <= o.Warmup {
+	if o.decisions <= warmupDecisions {
 		return polCfg, tied
 	}
 	return best, tied
@@ -129,7 +126,7 @@ func TestDecideSweepMatchesReference(t *testing.T) {
 			}
 			if pol := got.PolicyConfig(st); !p.InNeighborhood(st.Config, pol, radius) {
 				outside++
-				if i >= got.Warmup && want == pol {
+				if i >= warmupDecisions && want == pol {
 					polPicked++
 				}
 			}

@@ -12,7 +12,8 @@ import (
 // this surface because it is piecewise (the slice count is discrete), and
 // tree inference is a handful of comparisons, cheap enough for firmware.
 // The multi-rate structure (slice changes only every SlowPeriod frames) is
-// preserved online.
+// preserved online, and a feasibility guard keeps explicitMargin of the
+// frame budget as deadline slack.
 type Explicit struct {
 	Dev    *gpu.Device
 	Models *GPUModels
@@ -20,8 +21,9 @@ type Explicit struct {
 	FreqSurf  *regtree.Tree // (load, curSlices) -> normalized freq idx
 	SliceSurf *regtree.Tree // (load, curSlices) -> normalized slices
 
+	// SlowPeriod is the number of frames between slice changes; the
+	// cadence ablation sweeps it, FitExplicit sets slowPeriod.
 	SlowPeriod int
-	Margin     float64
 
 	cur       gpu.State
 	havestate bool
@@ -59,8 +61,7 @@ func FitExplicit(dev *gpu.Device, models *GPUModels, budget float64) (*Explicit,
 		Models:     models,
 		FreqSurf:   fs,
 		SliceSurf:  ss,
-		SlowPeriod: 30,
-		Margin:     0.08,
+		SlowPeriod: slowPeriod,
 	}, nil
 }
 
@@ -79,6 +80,10 @@ func FitExplicitSurfaces(dev *gpu.Device, budget float64) (*Explicit, error) {
 	ex.Models = nil
 	return ex, nil
 }
+
+// explicitMargin is the fraction of the frame budget the explicit
+// controller's feasibility guard keeps as deadline slack (Figure 5).
+const explicitMargin float64 = 0.08
 
 func maxIntE(a, b int) int {
 	if a > b {
@@ -135,7 +140,7 @@ func (c *Explicit) Next(obs FrameObs) gpu.State {
 
 	// Feasibility guard: bump frequency until the predicted render time
 	// fits the deadline.
-	deadline := obs.Budget * (1 - c.Margin)
+	deadline := obs.Budget * (1 - explicitMargin)
 	for want.FreqIdx < len(c.Dev.OPPs)-1 {
 		t := c.Models.PredictTime(work, want)
 		if want.Slices != c.cur.Slices {

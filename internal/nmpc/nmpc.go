@@ -8,33 +8,36 @@ import (
 
 // MultiRate is the multi-rate NMPC controller of ref [22]: the slow-rate
 // loop re-solves the constrained nonlinear program over both knobs (active
-// slices and frequency) every SlowPeriod frames, amortizing the expensive
+// slices and frequency) every slowPeriod frames, amortizing the expensive
 // slice reconfiguration; the fast-rate loop re-optimizes frequency alone on
 // every frame using the sensitivity models, which hardware can apply
-// immediately.
+// immediately. Its cadence, deadline slack and horizon are the constants of
+// the Figure 5 reproduction.
 type MultiRate struct {
 	Dev    *gpu.Device
 	Models *GPUModels
-
-	SlowPeriod int     // frames between slice decisions
-	Margin     float64 // fraction of the budget reserved as deadline slack
-	Horizon    int     // frames the slow-rate program looks ahead
 
 	cur       gpu.State
 	havestate bool
 	sinceSlow int
 }
 
-// NewMultiRate returns the controller with the defaults used in the
-// Figure 5 reproduction.
+// The multi-rate NMPC's schedule (Section IV-B).
+const (
+	// slowPeriod is the number of frames between slice decisions; it is
+	// also the default cadence of the explicit controller.
+	slowPeriod = 30
+	// multiRateMargin is the fraction of the frame budget the solver
+	// reserves as deadline slack.
+	multiRateMargin float64 = 0.10
+	// horizon is the number of frames the slow-rate program looks ahead,
+	// over which it amortizes a reconfiguration's energy.
+	horizon = 30
+)
+
+// NewMultiRate returns the controller of the Figure 5 reproduction.
 func NewMultiRate(dev *gpu.Device, models *GPUModels) *MultiRate {
-	return &MultiRate{
-		Dev:        dev,
-		Models:     models,
-		SlowPeriod: 30,
-		Margin:     0.10,
-		Horizon:    30,
-	}
+	return &MultiRate{Dev: dev, Models: models}
 }
 
 // Name implements Controller.
@@ -45,7 +48,7 @@ func (c *MultiRate) Name() string { return "nmpc" }
 // the reconfiguration cost over the horizon. If freezeSlices is >= 1 only
 // the frequency is free (the fast-rate problem).
 func (c *MultiRate) solve(work, budget float64, cur gpu.State, freezeSlices int) gpu.State {
-	deadline := budget * (1 - c.Margin)
+	deadline := budget * (1 - multiRateMargin)
 	best := c.Dev.MaxState()
 	bestCost := math.Inf(1)
 	feasible := false
@@ -65,7 +68,7 @@ func (c *MultiRate) solve(work, budget float64, cur gpu.State, freezeSlices int)
 			}
 			cost := c.Models.PredictEnergy(work, st, budget)
 			if s != cur.Slices {
-				cost += c.Dev.ReconfigJ / float64(maxInt(c.Horizon, 1))
+				cost += c.Dev.ReconfigJ / horizon
 			}
 			if cost < bestCost {
 				best, bestCost = st, cost
@@ -80,7 +83,7 @@ func (c *MultiRate) solve(work, budget float64, cur gpu.State, freezeSlices int)
 	return best
 }
 
-// Next implements Controller: slow-rate joint solve every SlowPeriod
+// Next implements Controller: slow-rate joint solve every slowPeriod
 // frames, fast-rate frequency-only solve otherwise.
 func (c *MultiRate) Next(obs FrameObs) gpu.State {
 	c.Models.Observe(obs.Stats, obs.Budget)
@@ -90,18 +93,11 @@ func (c *MultiRate) Next(obs FrameObs) gpu.State {
 	}
 	work := c.Models.WorkForecast()
 	c.sinceSlow++
-	if c.sinceSlow >= c.SlowPeriod {
+	if c.sinceSlow >= slowPeriod {
 		c.sinceSlow = 0
 		c.cur = c.solve(work, obs.Budget, c.cur, 0)
 	} else {
 		c.cur = c.solve(work, obs.Budget, c.cur, c.cur.Slices)
 	}
 	return c.cur
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -43,14 +43,33 @@ func TestGPUModelsForecastTracks(t *testing.T) {
 	}
 }
 
+// slicesSpy wraps a controller and records every state it returns whose
+// slice count is not want.
+type slicesSpy struct {
+	Controller
+	want, calls int
+	gated       []gpu.State
+}
+
+func (s *slicesSpy) Next(obs FrameObs) gpu.State {
+	st := s.Controller.Next(obs)
+	s.calls++
+	if st.Slices != s.want {
+		s.gated = append(s.gated, st)
+	}
+	return st
+}
+
 func TestBaselineKeepsAllSlices(t *testing.T) {
 	dev := gpu.NewIntelGen9()
 	trace := workload.Fig5Traces(30, 1)[7] // SharkDash: lightest
-	res := RunTrace(dev, trace, NewBaseline(dev), RunOptions{Start: dev.MaxState(), KeepFrames: true})
-	for _, f := range res.PerFrame {
-		if f.Slices != dev.MaxSlices {
-			t.Fatal("baseline must never gate slices")
-		}
+	spy := &slicesSpy{Controller: NewBaseline(dev), want: dev.MaxSlices}
+	res := RunTrace(dev, trace, spy, RunOptions{Start: dev.MaxState()})
+	if spy.calls != len(trace.Frames) {
+		t.Fatalf("baseline chose %d states over %d frames", spy.calls, len(trace.Frames))
+	}
+	if len(spy.gated) > 0 {
+		t.Fatalf("baseline gated slices in %d states, first %+v; it must keep all %d", len(spy.gated), spy.gated[0], dev.MaxSlices)
 	}
 	if res.PerfOverhead() > 0.02 {
 		t.Fatalf("baseline misses %.1f%% of deadlines", 100*res.PerfOverhead())
@@ -97,7 +116,7 @@ func TestMultiRateSlowPeriodLimitsReconfigs(t *testing.T) {
 	m.Warmup(trace.Budget())
 	c := NewMultiRate(dev, m)
 	res := RunTrace(dev, trace, c, RunOptions{Start: dev.MaxState()})
-	maxReconfigs := len(trace.Frames)/c.SlowPeriod + 2
+	maxReconfigs := len(trace.Frames)/slowPeriod + 2
 	if res.Reconfigs > maxReconfigs {
 		t.Fatalf("%d reconfigs exceed the slow-rate budget %d", res.Reconfigs, maxReconfigs)
 	}

@@ -31,8 +31,6 @@ type TraceResult struct {
 	EnergyDRAM float64
 	LateFrames int
 	Reconfigs  int
-
-	PerFrame []gpu.FrameStats // populated when KeepFrames is set
 }
 
 // PerfOverhead returns the fraction of frames that missed their deadline —
@@ -46,8 +44,7 @@ func (r TraceResult) PerfOverhead() float64 {
 
 // RunOptions tunes a trace run.
 type RunOptions struct {
-	Start      gpu.State
-	KeepFrames bool
+	Start gpu.State
 }
 
 // RunTrace executes the trace frame by frame under the controller.
@@ -67,9 +64,6 @@ func RunTrace(dev *gpu.Device, trace workload.GraphicsTrace, ctrl Controller, op
 		}
 		if stats.Reconfig {
 			res.Reconfigs++
-		}
-		if opt.KeepFrames {
-			res.PerFrame = append(res.PerFrame, stats)
 		}
 		prev = state
 		state = dev.Clamp(ctrl.Next(FrameObs{Stats: stats, Budget: budget, Index: i}))

@@ -30,7 +30,7 @@ func TrainBootstrapPolicy(p *soc.Platform, seed int64, apps, snippets int) (*il.
 	}
 	orc := oracle.New(p, oracle.Energy)
 	ds := il.BuildDataset(p, orc, suite)
-	return il.TrainMLPPolicy(p, ds, il.DefaultMLPOptions())
+	return il.TrainMLPPolicy(p, ds)
 }
 
 // WriteBootstrapPolicy trains and serializes a bootstrap policy in one

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -130,9 +131,17 @@ func (l *Limiter) Release() {
 // configuration is under a second — "1" is the smallest legal value.
 var retryAfterValue = []string{"1"}
 
+// WriteError writes an error response: a JSON object whose "error" field is
+// the formatted message, served as application/json. The router tier writes
+// its own errors through it too, so a client decodes every error body the
+// same way whichever tier answered.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
 // WriteShed writes the canonical 429 shed response (shared with the router
 // tier, whose own limiter sheds with identical semantics).
 func WriteShed(w http.ResponseWriter) {
 	w.Header()["Retry-After"] = retryAfterValue
-	writeError(w, http.StatusTooManyRequests, "overloaded, retry later")
+	WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -146,17 +145,6 @@ func (rs *replicaStore) peek(id string) (replica, bool) {
 	return rep, ok
 }
 
-func (rs *replicaStore) ids() []string {
-	rs.mu.Lock()
-	out := make([]string, 0, len(rs.m))
-	for id := range rs.m {
-		out = append(out, id)
-	}
-	rs.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
 // replicaStaleAfter is how old a parked replica may be before its promotion
 // counts as stale in metrics. Promotion proceeds either way — a stale
 // learner beats a cold-started one — the counter exists so operators can
@@ -274,27 +262,27 @@ func (s *Server) FenceStale(id string, epoch uint64) {
 func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if id == "" || len(id) > maxSessionID {
-		writeError(w, http.StatusBadRequest, "bad replica id")
+		WriteError(w, http.StatusBadRequest, "bad replica id")
 		return
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxStepBody+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading snapshot: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading snapshot: %v", err)
 		return
 	}
 	if len(data) > maxStepBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxStepBody)
+		WriteError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxStepBody)
 		return
 	}
 	// Cheap sanity check before parking: a torn push must not become a
 	// failed promotion at the worst possible moment.
 	metaID, epoch, steps, err := SnapshotMeta(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if metaID != id {
-		writeError(w, http.StatusBadRequest, "snapshot is for session %q, not %q", metaID, id)
+		WriteError(w, http.StatusBadRequest, "snapshot is for session %q, not %q", metaID, id)
 		return
 	}
 	if live := s.sessions.get(id); live != nil {
@@ -304,7 +292,7 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 			// is replicating a stale generation. Tell it which epoch rules.
 			s.replicas.mStalePuts.Inc()
 			w.Header().Set(HeaderEpoch, strconv.FormatUint(live.epoch, 10))
-			writeError(w, http.StatusConflict,
+			WriteError(w, http.StatusConflict,
 				"session %q is live here at epoch %d (push carries %d)", id, live.epoch, epoch)
 			return
 		default:
@@ -327,7 +315,7 @@ func (s *Server) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeError(w, http.StatusNotFound, "no replica %q", r.PathValue("id"))
+	WriteError(w, http.StatusNotFound, "no replica %q", r.PathValue("id"))
 }
 
 // handleReplicaGet serves GET /v1/replica/{id}: the parked replica bytes
@@ -336,7 +324,7 @@ func (s *Server) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 	rep, ok := s.replicas.peek(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no replica %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no replica %q", r.PathValue("id"))
 		return
 	}
 	h := w.Header()
@@ -344,14 +332,4 @@ func (s *Server) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 	h.Set(HeaderEpoch, strconv.FormatUint(rep.epoch, 10))
 	h.Set(HeaderSteps, strconv.FormatUint(rep.steps, 10))
 	_, _ = w.Write(rep.data)
-}
-
-// replicaList is the body of GET /admin/replicas.
-type replicaList struct {
-	Replicas []string `json:"replicas"`
-}
-
-// handleReplicaList serves GET /admin/replicas: ids of parked replicas.
-func (s *Server) handleReplicaList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, replicaList{Replicas: s.replicas.ids()})
 }

@@ -489,7 +489,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/replica/{id}", s.handleReplicaPut)
 	mux.HandleFunc("GET /v1/replica/{id}", s.handleReplicaGet)
 	mux.HandleFunc("DELETE /v1/replica/{id}", s.handleReplicaDelete)
-	mux.HandleFunc("GET /admin/replicas", s.handleReplicaList)
 	mux.HandleFunc("GET /admin/sessions", s.handleSessionList)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
@@ -526,10 +525,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // CreateRequest is the body of POST /v1/sessions.
 type CreateRequest struct {
 	Policy string `json:"policy"`
@@ -554,15 +549,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxStepBody)).Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", maxStepBody)
+			WriteError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", maxStepBody)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	resp, err := s.CreateSession(req)
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, resp)
@@ -830,7 +825,7 @@ func (scr *stepScratch) writeJSON(w http.ResponseWriter, status int, v any) {
 		scr.enc = json.NewEncoder(&scr.body)
 	}
 	if err := scr.enc.Encode(v); err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		WriteError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
 	w.Header()["Content-Type"] = contentTypeJSON
@@ -889,7 +884,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	}
 	if sess == nil {
 		s.mStepErrors.Inc()
-		writeError(w, http.StatusNotFound, "no session %q", id)
+		WriteError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
 	// The answering copy's fencing token rides on every step response, so
@@ -900,7 +895,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	scr.resetStep()
 	if err := scr.decode(r, &scr.req); err != nil {
 		s.mStepErrors.Inc()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	scr.resp.Configs = scr.resp.Configs[:0]
@@ -908,14 +903,14 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		configs, err := s.stepEach(sess, scr.req.Steps, scr.resp.Configs)
 		scr.resp.Configs = configs
 		if err != nil {
-			writeError(w, statusOf(err), "%v", err)
+			WriteError(w, statusOf(err), "%v", err)
 			return
 		}
 		scr.resp.Config = configs[len(configs)-1]
 	} else {
 		cfg, err := s.stepSession(sess, &scr.req.StepTelemetry)
 		if err != nil {
-			writeError(w, statusOf(err), "%v", err)
+			WriteError(w, statusOf(err), "%v", err)
 			return
 		}
 		scr.resp.Config = cfg
@@ -937,16 +932,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	scr.resetBatch()
 	if err := scr.decode(r, &scr.batch); err != nil {
 		s.mStepErrors.Inc()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(scr.batch.Entries) == 0 {
-		writeError(w, http.StatusBadRequest, "batch request carries no entries")
+		WriteError(w, http.StatusBadRequest, "batch request carries no entries")
 		return
 	}
 	if len(scr.batch.Entries) > MaxBatchEntries {
 		s.mStepErrors.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			"batch carries %d entries, cap is %d", len(scr.batch.Entries), MaxBatchEntries)
 		return
 	}
@@ -957,7 +952,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	info, err := s.Info(r.PathValue("id"))
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -966,7 +961,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	info, err := s.CloseSession(r.PathValue("id"))
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -993,7 +988,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if err := s.Reload(); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int64{

@@ -409,7 +409,7 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	data, err := s.ExportSession(r.PathValue("id"))
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -421,7 +421,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	data, err := s.DetachSession(r.PathValue("id"))
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -432,21 +432,21 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 // Imports are admission and are refused while draining, like creates.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxStepBody+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading snapshot: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading snapshot: %v", err)
 		return
 	}
 	if len(data) > maxStepBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxStepBody)
+		WriteError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxStepBody)
 		return
 	}
 	resp, err := s.ImportSession(data)
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, resp)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -17,7 +18,8 @@ import (
 	"socrm/internal/control"
 	"socrm/internal/il"
 	"socrm/internal/oracle"
-	"socrm/internal/regtree"
+	"socrm/internal/rls"
+	"socrm/internal/snap"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
 )
@@ -208,9 +210,8 @@ func TestBackgroundTrainerEnvelopesImport(t *testing.T) {
 				t.Fatal("re-export differs from the imported envelope beyond the epoch")
 			}
 			oil := srv.sessions.get(created.ID).dec.(*il.OnlineIL)
-			tr := oil.Trainer()
-			if tr.Buffered() != tc.queued || oil.Updates() != 0 {
-				t.Fatalf("imported %d queued samples and %d updates, want %d and 0", tr.Buffered(), oil.Updates(), tc.queued)
+			if oil.Buffered() != tc.queued || oil.Updates() != 0 {
+				t.Fatalf("imported %d queued samples and %d updates, want %d and 0", oil.Buffered(), oil.Updates(), tc.queued)
 			}
 			x := make([]float64, control.NumFeatures)
 			y := make([]float64, soc.NumConfigFeatures)
@@ -220,9 +221,9 @@ func TestBackgroundTrainerEnvelopesImport(t *testing.T) {
 			for j := range y {
 				y[j] = 0.5
 			}
-			tr.Ingest(x, y)
-			if oil.Updates() != 1 || tr.Buffered() != 0 {
-				t.Fatalf("after one Ingest: %d updates, %d queued; want one retrain and an empty queue", oil.Updates(), tr.Buffered())
+			oil.Ingest(x, y)
+			if oil.Updates() != 1 || oil.Buffered() != 0 {
+				t.Fatalf("after one Ingest: %d updates, %d queued; want one retrain and an empty queue", oil.Updates(), oil.Buffered())
 			}
 			after, err := srv.ExportSession(created.ID)
 			if err != nil {
@@ -279,6 +280,86 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 				t.Fatalf("rejected import left %d sessions behind", srvB.SessionCount())
 			}
 		})
+	}
+}
+
+// TestImportRejectsForeignUpdateSchedule: the online-IL update schedule,
+// warmup and intercept gain are constants that every envelope still
+// carries. An envelope declaring any other value is refused with a 400
+// instead of importing into a learner that would not run it.
+func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
+	srvA, _, _ := newTestServer(t, nil)
+	created, err := srvA.CreateSession(CreateRequest{Policy: PolicyOnlineIL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := srvA.ExportSession(created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the envelope to the learner state: header, energy and last
+	// config, then the previous-state flag, clear on a session never
+	// stepped. The learner opens with radius, buffer, epochs, lr,
+	// momentum and warmup, 8 bytes each, then seed and decision count;
+	// the intercept gain follows the policy, the three RLS models and the
+	// intercept-only flag.
+	d := snap.NewDecoder(data)
+	if _, err := decodeEnvelopeHeader(d); err != nil {
+		t.Fatal(err)
+	}
+	d.F64()
+	decodeConfig(d)
+	if d.Bool() {
+		t.Fatal("a session never stepped exported a previous state")
+	}
+	learner := len(data) - d.Remaining()
+	for range 8 {
+		d.Int()
+	}
+	if _, err := il.DecodeMLPPolicy(d, srvA.p); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := rls.DecodeRLS(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Bool()
+	gain := len(data) - d.Remaining()
+	if math.Float64frombits(binary.LittleEndian.Uint64(data[gain:])) != 0.7 {
+		t.Fatal("walked to the wrong offset for the intercept gain")
+	}
+
+	srvB, _, _ := newTestServer(t, nil)
+	for _, tc := range []struct {
+		name string
+		off  int
+		val  uint64
+		want string
+	}{
+		{"epochs", learner + 16, 81, "update schedule"},
+		{"lr", learner + 24, math.Float64bits(0.03), "update schedule"},
+		{"momentum", learner + 32, math.Float64bits(0.8), "update schedule"},
+		{"warmup", learner + 40, 3, "update schedule"},
+		{"intercept gain", gain, math.Float64bits(0.5), "intercept gain"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mutated := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(mutated[tc.off:], tc.val)
+			_, err := srvB.ImportSession(mutated)
+			if err == nil {
+				t.Fatal("envelope with a foreign value imported")
+			}
+			if statusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v (status %d), want a 400 naming the %s", err, statusOf(err), tc.want)
+			}
+			if srvB.SessionCount() != 0 {
+				t.Fatalf("rejected import left %d sessions behind", srvB.SessionCount())
+			}
+		})
+	}
+	if _, err := srvB.ImportSession(data); err != nil {
+		t.Fatalf("the unmodified envelope: %v", err)
 	}
 }
 
@@ -468,7 +549,13 @@ func TestMigrationSoak(t *testing.T) {
 		}(w)
 	}
 
-	for round := 0; round < 4; round++ {
+	// Bounce in pairs of rounds, so every pair ends with the sessions back
+	// on srvA, for at least four rounds and until some session has
+	// retrained: a slow (-race) run steps too little in four 5 ms rounds
+	// to fill a buffer. The deadline turns a learner that never retrains
+	// into a failure rather than a hang.
+	deadline := time.Now().Add(time.Minute)
+	for round := 0; ; round++ {
 		from, to := srvA, srvB
 		if round%2 == 1 {
 			from, to = srvB, srvA
@@ -483,6 +570,15 @@ func TestMigrationSoak(t *testing.T) {
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
+		if round%2 == 0 || round < 3 {
+			continue
+		}
+		if anyRetrained(t, srvA, ids) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no session retrained in %d rounds", round+1)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -506,6 +602,22 @@ func TestMigrationSoak(t *testing.T) {
 		t.Fatal("no session retrained during the soak")
 	}
 	t.Logf("%d retrains across %d sessions", updates, nSessions)
+}
+
+// anyRetrained reports whether any of the sessions, all resident on srv,
+// has made an incremental policy update.
+func anyRetrained(t *testing.T, srv *Server, ids []string) bool {
+	t.Helper()
+	for _, id := range ids {
+		info, err := srv.Info(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Updates > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCreateWithExplicitID covers the router-assigned-id path: the id is
@@ -540,7 +652,7 @@ func fuzzTreeStore(t testing.TB) *PolicyStore {
 	for i := range apps {
 		apps[i].Snippets = apps[i].Snippets[:8]
 	}
-	pol, err := il.TrainTreePolicy(p, il.BuildDataset(p, oracle.New(p, oracle.Energy), apps), regtree.DefaultParams())
+	pol, err := il.TrainTreePolicy(p, il.BuildDataset(p, oracle.New(p, oracle.Energy), apps))
 	if err != nil {
 		t.Fatal(err)
 	}
