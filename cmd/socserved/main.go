@@ -7,7 +7,7 @@
 //	socserved -addr :8090 -policy-file policy.bin
 //	socserved -policy-file policy.bin -bootstrap        # train it if missing
 //
-// The policy file is binary (il.SaveMLPPolicy/SaveTreePolicy); a JSON
+// The policy file is a binary MLP policy (il.SaveMLPPolicy); a JSON
 // policy file from an older build is refused at load. Delete it and run
 // with -bootstrap to write a fresh one.
 //
@@ -119,7 +119,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.maxQueue, "max-queue", 0, "requests allowed to wait for an admission slot once -max-inflight is saturated (0 = immediate shed)")
 	fs.DurationVar(&c.queueWait, "queue-wait", 0, "how long a queued request waits for an admission slot before shedding (0 = 100ms)")
 	fs.StringVar(&partition, "chaos-partition", "", "chaos: comma-separated destinations (URLs or host:port) this process cannot reach — one side of an asymmetric partition")
-	fs.StringVar(&c.policyFile, "policy-file", "", "persisted binary policy file (mlp or tree); empty = governor policies only")
+	fs.StringVar(&c.policyFile, "policy-file", "", "persisted binary MLP policy file; empty = governor policies only")
 	fs.BoolVar(&c.bootstrap, "bootstrap", false, "train and write a quick policy to -policy-file if it does not exist")
 	fs.Int64Var(&c.seed, "seed", 42, "seed for bootstrap training, model warm-start and session decorrelation")
 	fs.IntVar(&c.maxSessions, "max-sessions", 1024, "maximum concurrent sessions")

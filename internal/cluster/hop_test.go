@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,5 +160,42 @@ func TestRouterReturnsBackendRedirect(t *testing.T) {
 	}
 	if n := followed.Load(); n != 0 {
 		t.Fatalf("router followed the backend's redirect %d times", n)
+	}
+}
+
+// TestRouterRefusesOversizedBodies: a body past the backend's 8 MiB bound
+// gets 413 from the router on every route that reads one, and no prefix of
+// it reaches a backend.
+func TestRouterRefusesOversizedBodies(t *testing.T) {
+	var forwarded atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			fmt.Fprintln(w, "ready")
+		case "/admin/sessions":
+			fmt.Fprint(w, `{"sessions":[]}`)
+		default:
+			forwarded.Add(1)
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusTeapot)
+		}
+	}))
+	t.Cleanup(backend.Close)
+	_, front := routerOver(t, backend.URL, RouterOptions{})
+	// 9 MiB of JSON string, so only the length is wrong.
+	body := []byte(`{"policy":"` + strings.Repeat("a", 9<<20) + `"}`)
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/s-1/step", "/v1/step/batch"} {
+		resp, err := front.Client().Post(front.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with %d bytes = %d %s, want 413", path, len(body), resp.StatusCode, msg)
+		}
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Fatalf("the backend saw %d requests, want none", n)
 	}
 }

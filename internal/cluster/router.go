@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -675,9 +675,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// maxRouterBody mirrors the backend's request-body bound.
-const maxRouterBody = 8 << 20
-
 func (rt *Router) writeProxied(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = contentTypeJSON
@@ -694,8 +691,12 @@ func (rt *Router) writeProxied(w http.ResponseWriter, status int, body []byte) {
 // forwards the create to the ring owner, and falls back across ready
 // backends if it refuses.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
+	in, ok := serve.ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var req serve.CreateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxRouterBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(in)).Decode(&req); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -754,10 +755,8 @@ func (rt *Router) handleSession(method, suffix string) http.HandlerFunc {
 		id := r.PathValue("id")
 		var body []byte
 		if method == http.MethodPost {
-			var err error
-			body, err = io.ReadAll(io.LimitReader(r.Body, maxRouterBody))
-			if err != nil {
-				serve.WriteError(w, http.StatusBadRequest, "%v", err)
+			var ok bool
+			if body, ok = serve.ReadBody(w, r); !ok {
 				return
 			}
 		}
@@ -786,8 +785,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.limiter.Release()
+	in, ok := serve.ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var req serve.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxRouterBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(in)).Decode(&req); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -13,13 +13,6 @@ import (
 	"sync"
 )
 
-// Job carries one unit of work into the pool: its position in the input
-// slice and the input itself.
-type Job[T any] struct {
-	Index int
-	Input T
-}
-
 // normWorkers resolves a worker-count request: n <= 0 means one worker
 // per available CPU, and there is never a point in more workers than jobs.
 func normWorkers(n, jobs int) int {
@@ -35,56 +28,36 @@ func normWorkers(n, jobs int) int {
 	return n
 }
 
-// RunJobs executes fn over every input on up to workers goroutines
-// (workers <= 0 means GOMAXPROCS) and returns the outputs in input order.
-// workers == 1 runs everything serially on the calling goroutine — the
-// serial reference path for determinism checks. If any jobs fail, the
-// error of the lowest-indexed failure is returned (deterministic
-// regardless of scheduling) alongside the partial outputs.
-func RunJobs[T, R any](workers int, inputs []T, fn func(Job[T]) (R, error)) ([]R, error) {
+// MapJobs runs fn over every input on up to workers goroutines (workers
+// <= 0 means GOMAXPROCS) and returns the outputs in input order. workers
+// == 1 runs everything serially on the calling goroutine — the serial
+// reference path for determinism checks.
+func MapJobs[T, R any](workers int, inputs []T, fn func(i int, in T) R) []R {
 	out := make([]R, len(inputs))
 	if len(inputs) == 0 {
-		return out, nil
+		return out
 	}
-	errs := make([]error, len(inputs))
 	if workers = normWorkers(workers, len(inputs)); workers == 1 {
 		for i, in := range inputs {
-			out[i], errs[i] = fn(Job[T]{Index: i, Input: in})
+			out[i] = fn(i, in)
 		}
-		return out, firstErr(errs)
+		return out
 	}
-	jobs := make(chan Job[T])
+	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				out[j.Index], errs[j.Index] = fn(j)
+			for i := range jobs {
+				out[i] = fn(i, inputs[i])
 			}
 		}()
 	}
-	for i, in := range inputs {
-		jobs <- Job[T]{Index: i, Input: in}
+	for i := range inputs {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return out, firstErr(errs)
-}
-
-// MapJobs is RunJobs for infallible work.
-func MapJobs[T, R any](workers int, inputs []T, fn func(i int, in T) R) []R {
-	out, _ := RunJobs(workers, inputs, func(j Job[T]) (R, error) {
-		return fn(j.Index, j.Input), nil
-	})
 	return out
-}
-
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
-// TestRunJobsOrdering: results must be keyed by input index, not arrival
+// TestRunJobsOrdering: MapJobs keys results by input index, not arrival
 // order, for every worker count.
 func TestRunJobsOrdering(t *testing.T) {
 	inputs := make([]int, 100)
@@ -20,49 +19,25 @@ func TestRunJobsOrdering(t *testing.T) {
 		want[i] = v + 1
 	}
 	for _, workers := range []int{0, 1, 2, 7, 64, 1000} {
-		got, err := RunJobs(workers, inputs, func(j Job[int]) (int, error) {
+		got := MapJobs(workers, inputs, func(_ int, in int) int {
 			runtime.Gosched() // shake completion order
-			return j.Input + 1, nil
+			return in + 1
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: results out of input order", workers)
 		}
 	}
 }
 
-// TestRunJobsError: the reported error is the lowest-indexed failure,
-// deterministically, and successful outputs are still delivered.
-func TestRunJobsError(t *testing.T) {
-	errA := errors.New("job 3 failed")
-	errB := errors.New("job 7 failed")
-	out, err := RunJobs(4, []int{0, 1, 2, 3, 4, 5, 6, 7}, func(j Job[int]) (int, error) {
-		switch j.Index {
-		case 3:
-			return 0, errA
-		case 7:
-			return 0, errB
-		}
-		return j.Input * 2, nil
-	})
-	if err != errA {
-		t.Fatalf("got error %v, want the lowest-indexed failure %v", err, errA)
-	}
-	if out[2] != 4 || out[6] != 12 {
-		t.Fatalf("successful outputs lost: %v", out)
-	}
-}
-
-// TestRunJobsEmpty: zero jobs is a no-op for any worker count.
+// TestRunJobsEmpty: MapJobs over zero jobs is a no-op for any worker
+// count.
 func TestRunJobsEmpty(t *testing.T) {
-	out, err := RunJobs[int, int](8, nil, func(j Job[int]) (int, error) {
+	out := MapJobs(8, []int(nil), func(int, int) int {
 		t.Fatal("fn called with no inputs")
-		return 0, nil
+		return 0
 	})
-	if err != nil || len(out) != 0 {
-		t.Fatalf("got %v, %v", out, err)
+	if len(out) != 0 {
+		t.Fatalf("got %v", out)
 	}
 }
 
@@ -72,23 +47,17 @@ func TestRunJobsEmpty(t *testing.T) {
 // single shared rand.Rand would both race and scramble the draws.
 func TestRunJobsPerJobSeeds(t *testing.T) {
 	const base = int64(42)
-	draw := func(j Job[int]) ([]float64, error) {
-		rng := rand.New(rand.NewSource(base + int64(j.Index)))
+	draw := func(i int, _ int) []float64 {
+		rng := rand.New(rand.NewSource(base + int64(i)))
 		out := make([]float64, 16)
 		for k := range out {
 			out[k] = rng.NormFloat64()
 		}
-		return out, nil
+		return out
 	}
 	inputs := make([]int, 32)
-	serial, err := RunJobs(1, inputs, draw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunJobs(8, inputs, draw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := MapJobs(1, inputs, draw)
+	parallel := MapJobs(8, inputs, draw)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("per-job seeded draws differ between serial and parallel runs")
 	}

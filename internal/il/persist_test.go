@@ -2,6 +2,7 @@ package il
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -12,25 +13,20 @@ import (
 	"socrm/internal/counters"
 	"socrm/internal/mlp"
 	"socrm/internal/oracle"
-	"socrm/internal/regtree"
 	"socrm/internal/snap"
 	"socrm/internal/soc"
 )
 
-// trainedPolicies fits one policy of each kind on a short dataset.
-func trainedPolicies(t testing.TB, snippets int) (Dataset, *MLPPolicy, *TreePolicy) {
+// trainedPolicy fits the neural policy on a short dataset.
+func trainedPolicy(t testing.TB, snippets int) (Dataset, *MLPPolicy) {
 	t.Helper()
 	p := soc.NewXU3()
 	ds := BuildDataset(p, oracle.New(p, oracle.Energy), shortApps(snippets))
-	mlpPol, err := TrainMLPPolicy(p, ds)
+	pol, err := TrainMLPPolicy(p, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	treePol, err := TrainTreePolicy(p, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, mlpPol, treePol
+	return ds, pol
 }
 
 func saveMLP(t testing.TB, pol *MLPPolicy) []byte {
@@ -42,23 +38,13 @@ func saveMLP(t testing.TB, pol *MLPPolicy) []byte {
 	return buf.Bytes()
 }
 
-func saveTree(t testing.TB, pol *TreePolicy) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveTreePolicy(&buf, pol); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestMLPPolicyRoundTrip(t *testing.T) {
-	ds, pol, _ := trainedPolicies(t, 10)
+	ds, pol := trainedPolicy(t, 10)
 	file := saveMLP(t, pol)
-	got, err := LoadPolicy(bytes.NewReader(file), pol.P)
+	loaded, err := LoadPolicy(bytes.NewReader(file), pol.P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := got.(*MLPPolicy)
 	for i := range ds.X {
 		if loaded.PredictConfig(ds.X[i]) != pol.PredictConfig(ds.X[i]) {
 			t.Fatalf("loaded policy disagrees on sample %d", i)
@@ -69,66 +55,33 @@ func TestMLPPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTreePolicyRoundTrip(t *testing.T) {
-	ds, _, pol := trainedPolicies(t, 10)
-	file := saveTree(t, pol)
-	got, err := LoadPolicy(bytes.NewReader(file), pol.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := got.(*TreePolicy)
-	for i := range ds.X {
-		if loaded.PredictConfig(ds.X[i]) != pol.PredictConfig(ds.X[i]) {
-			t.Fatalf("loaded tree policy disagrees on sample %d", i)
-		}
-	}
-	if !bytes.Equal(saveTree(t, loaded), file) {
-		t.Fatal("re-saving the loaded tree policy changed its bytes")
-	}
-}
-
-// TestLoadRejectsWrongKind: a kind byte that does not match its payload is
-// refused by the payload's own decoder, in both directions.
+// TestLoadRejectsWrongKind: a policy file of kind 2, the retired
+// regression-tree kind, is refused by its kind byte alone.
 func TestLoadRejectsWrongKind(t *testing.T) {
-	_, mlpPol, treePol := trainedPolicies(t, 8)
-	p := mlpPol.P
-	for _, tc := range []struct {
-		file []byte
-		kind uint8
-	}{
-		{saveMLP(t, mlpPol), policyTree},
-		{saveTree(t, treePol), policyMLP},
-	} {
-		tc.file[6] = tc.kind
-		if _, err := LoadPolicy(bytes.NewReader(tc.file), p); err == nil {
-			t.Fatalf("a file relabelled as kind %d loaded", tc.kind)
-		}
+	_, pol := trainedPolicy(t, 8)
+	file := saveMLP(t, pol)
+	file[6] = 2
+	if _, err := LoadPolicy(bytes.NewReader(file), pol.P); err == nil || !strings.Contains(err.Error(), "unknown policy kind 2") {
+		t.Fatalf("an MLP file relabelled as kind 2: err = %v, want unknown policy kind 2", err)
 	}
 }
 
 func TestLoadRejectsNilScaler(t *testing.T) {
-	_, mlpPol, treePol := trainedPolicies(t, 8)
+	_, mlpPol := trainedPolicy(t, 8)
 	p := mlpPol.P
 	// The save side refuses to write a policy without a scaler.
 	var sink bytes.Buffer
 	if err := SaveMLPPolicy(&sink, &MLPPolicy{Net: mlpPol.Net, P: p}); err == nil {
 		t.Fatal("SaveMLPPolicy with nil scaler must fail")
 	}
-	if err := SaveTreePolicy(&sink, &TreePolicy{Forest: treePol.Forest, P: p}); err == nil {
-		t.Fatal("SaveTreePolicy with nil scaler must fail")
-	}
 	// The load side refuses a scaler of the wrong width; an empty one is the
 	// identity and loads.
 	short := &counters.Scaler{Mean: []float64{0}, Std: []float64{1}}
-	for _, file := range [][]byte{
-		saveMLP(t, &MLPPolicy{Net: mlpPol.Net, Scaler: short, P: p}),
-		saveTree(t, &TreePolicy{Forest: treePol.Forest, Scaler: short, P: p}),
-	} {
-		if _, err := LoadPolicy(bytes.NewReader(file), p); err == nil || !strings.Contains(err.Error(), "scaler") {
-			t.Fatalf("1-entry scaler: err = %v, want scaler rejection", err)
-		}
+	file := saveMLP(t, &MLPPolicy{Net: mlpPol.Net, Scaler: short, P: p})
+	if _, err := LoadPolicy(bytes.NewReader(file), p); err == nil || !strings.Contains(err.Error(), "scaler") {
+		t.Fatalf("1-entry scaler: err = %v, want scaler rejection", err)
 	}
-	file := saveMLP(t, &MLPPolicy{Net: mlpPol.Net, Scaler: &counters.Scaler{}, P: p})
+	file = saveMLP(t, &MLPPolicy{Net: mlpPol.Net, Scaler: &counters.Scaler{}, P: p})
 	if _, err := LoadPolicy(bytes.NewReader(file), p); err != nil {
 		t.Fatalf("empty scaler: %v", err)
 	}
@@ -138,28 +91,9 @@ func TestLoadRejectsNilScaler(t *testing.T) {
 // session imports both use it — refuses a policy whose first decision
 // would panic, instead of handing it to a session.
 func TestDecodeRejectsBadShapes(t *testing.T) {
-	_, mlpPol, treePol := trainedPolicies(t, 8)
+	_, mlpPol := trainedPolicy(t, 8)
 	p := mlpPol.P
 	short := &counters.Scaler{Mean: []float64{0}, Std: []float64{1}}
-	leaf := func() *regtree.Tree {
-		tr, err := regtree.Fit([][]float64{{0}}, []float64{0.5}, regtree.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	// A split on feature 99 of 13.
-	wide := make([][]float64, 8)
-	ys := make([]float64, len(wide))
-	for i := range wide {
-		wide[i] = make([]float64, 100)
-		wide[i][99] = float64(i)
-		ys[i] = float64(i % 2)
-	}
-	farSplit, err := regtree.Fit(wide, ys, regtree.Params{MaxDepth: 2, MinLeafSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	encode := func(write func(*snap.Encoder)) []byte {
 		var e snap.Encoder
 		write(&e)
@@ -179,44 +113,23 @@ func TestDecodeRejectsBadShapes(t *testing.T) {
 			t.Errorf("%s: LoadPolicy accepted it", name)
 		}
 	}
-	treeCases := map[string]*TreePolicy{
-		"1-entry scaler": {Forest: treePol.Forest, Scaler: short, P: p},
-		"3 trees":        {Forest: &regtree.Forest{Trees: treePol.Forest.Trees[:3]}, Scaler: treePol.Scaler, P: p},
-		"split on feature 99": {Forest: &regtree.Forest{Trees: []*regtree.Tree{leaf(), leaf(), leaf(), farSplit}},
-			Scaler: treePol.Scaler, P: p},
-	}
-	for name, pol := range treeCases {
-		payload := encode(pol.EncodeTo)
-		if _, err := DecodeTreePolicy(snap.NewDecoder(payload), p); err == nil {
-			t.Errorf("%s: DecodeTreePolicy accepted it", name)
-		}
-		if _, err := LoadPolicy(bytes.NewReader(saveTree(t, pol)), p); err == nil {
-			t.Errorf("%s: LoadPolicy accepted it", name)
-		}
-	}
 }
 
+// TestLoadPolicyDispatchesOnKind: kind 1 is the one kind a policy file
+// may carry; every other kind byte is refused by name.
 func TestLoadPolicyDispatchesOnKind(t *testing.T) {
-	_, mlpPol, treePol := trainedPolicies(t, 8)
+	_, mlpPol := trainedPolicy(t, 8)
 	p := mlpPol.P
-	pol, err := LoadPolicy(bytes.NewReader(saveMLP(t, mlpPol)), p)
-	if err != nil {
+	if _, err := LoadPolicy(bytes.NewReader(saveMLP(t, mlpPol)), p); err != nil {
 		t.Fatal(err)
 	}
-	if _, isMLP := pol.(*MLPPolicy); !isMLP {
-		t.Fatalf("LoadPolicy returned %T, want *MLPPolicy", pol)
-	}
-	pol, err = LoadPolicy(bytes.NewReader(saveTree(t, treePol)), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, isTree := pol.(*TreePolicy); !isTree {
-		t.Fatalf("LoadPolicy returned %T, want *TreePolicy", pol)
-	}
-	file := saveTree(t, treePol)
-	file[6] = 9
-	if _, err := LoadPolicy(bytes.NewReader(file), p); err == nil || !strings.Contains(err.Error(), "kind") {
-		t.Fatalf("unknown kind: err = %v, want kind rejection", err)
+	for _, kind := range []uint8{0, 9, 255} {
+		file := saveMLP(t, mlpPol)
+		file[6] = kind
+		want := fmt.Sprintf("unknown policy kind %d", kind)
+		if _, err := LoadPolicy(bytes.NewReader(file), p); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("kind %d: err = %v, want %s", kind, err, want)
+		}
 	}
 }
 
@@ -224,7 +137,7 @@ func TestLoadPolicyDispatchesOnKind(t *testing.T) {
 // goroutines serialize the same shared policy while others deserialize and
 // predict, exactly the contention a reloading daemon produces.
 func TestConcurrentSaveLoad(t *testing.T) {
-	ds, pol, _ := trainedPolicies(t, 8)
+	ds, pol := trainedPolicy(t, 8)
 	refBytes := saveMLP(t, pol)
 	want := pol.PredictConfig(ds.X[0])
 
@@ -255,7 +168,7 @@ func TestConcurrentSaveLoad(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	_, pol, _ := trainedPolicies(t, 8)
+	_, pol := trainedPolicy(t, 8)
 	p := pol.P
 	file := saveMLP(t, pol)
 	// A JSON policy file, the retired format, is refused with an error that
@@ -286,22 +199,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // bytes and decides on a zero feature vector.
 func FuzzLoadPolicy(f *testing.F) {
 	p := soc.NewXU3()
-	leaves := &regtree.Forest{}
-	for range soc.NumConfigFeatures {
-		tr, err := regtree.Fit([][]float64{{0}}, []float64{0.5}, regtree.DefaultParams())
-		if err != nil {
-			f.Fatal(err)
-		}
-		leaves.Trees = append(leaves.Trees, tr)
-	}
-	f.Add(saveMLP(f, &MLPPolicy{Net: mlp.New(1, mlp.Tanh, control.NumFeatures, soc.NumConfigFeatures), Scaler: &counters.Scaler{}, P: p}))
-	f.Add(saveTree(f, &TreePolicy{Forest: leaves, Scaler: &counters.Scaler{}, P: p}))
+	file := saveMLP(f, &MLPPolicy{Net: mlp.New(1, mlp.Tanh, control.NumFeatures, soc.NumConfigFeatures), Scaler: &counters.Scaler{}, P: p})
+	f.Add(file)
+	tree := append([]byte(nil), file...)
+	tree[6] = 2 // the retired regression-tree kind
+	f.Add(tree)
 	zero := make([]float64, control.NumFeatures)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// TotalAlloc is process-wide, so take the least of three loads: the
 		// fuzzing engine's own goroutines allocate now and then, the
 		// decoder the same amount every time.
-		var pol Policy
+		var pol *MLPPolicy
 		var err error
 		alloc := uint64(math.MaxUint64)
 		for range 3 {
@@ -317,13 +225,7 @@ func FuzzLoadPolicy(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var resaved []byte
-		switch pol := pol.(type) {
-		case *MLPPolicy:
-			resaved = saveMLP(t, pol)
-		case *TreePolicy:
-			resaved = saveTree(t, pol)
-		}
+		resaved := saveMLP(t, pol)
 		if !bytes.Equal(resaved, data) {
 			t.Fatalf("re-saved policy differs: %d bytes from %d", len(resaved), len(data))
 		}

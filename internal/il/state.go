@@ -2,12 +2,10 @@ package il
 
 import (
 	"fmt"
-	"math"
 
 	"socrm/internal/control"
 	"socrm/internal/counters"
 	"socrm/internal/mlp"
-	"socrm/internal/regtree"
 	"socrm/internal/rls"
 	"socrm/internal/snap"
 	"socrm/internal/soc"
@@ -47,34 +45,6 @@ func DecodeMLPPolicy(d *snap.Decoder, p *soc.Platform) (*MLPPolicy, error) {
 			in, out, control.NumFeatures, soc.NumConfigFeatures)
 	}
 	return &MLPPolicy{Net: net, Scaler: sc, P: p}, nil
-}
-
-// EncodeTo writes the tree policy (scaler + forest) bit-exactly, so a
-// decoded policy is indistinguishable from the freshly fitted one.
-func (t *TreePolicy) EncodeTo(e *snap.Encoder) {
-	e.F64s(t.Scaler.Mean)
-	e.F64s(t.Scaler.Std)
-	t.Forest.EncodeTo(e)
-}
-
-// DecodeTreePolicy reconstructs a policy written by TreePolicy.EncodeTo
-// and binds it to the platform. It refuses a forest without one tree per
-// config feature, a split on a feature past control.NumFeatures, or a
-// scaler of another width.
-func DecodeTreePolicy(d *snap.Decoder, p *soc.Platform) (*TreePolicy, error) {
-	sc, err := decodeScaler(d)
-	if err != nil {
-		return nil, err
-	}
-	forest, err := regtree.DecodeForest(d)
-	if err != nil {
-		return nil, err
-	}
-	if n, f := len(forest.Trees), forest.MaxFeature(); n != soc.NumConfigFeatures || f >= control.NumFeatures {
-		return nil, fmt.Errorf("il: decoded forest has %d trees splitting on features up to %d, want %d trees and features below %d",
-			n, f, soc.NumConfigFeatures, control.NumFeatures)
-	}
-	return &TreePolicy{Forest: forest, Scaler: sc, P: p}, nil
 }
 
 // decodeScaler reads a policy's feature scaler: empty (the identity) or one
@@ -202,9 +172,14 @@ func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 	o.encodeQueue(e)
 }
 
+// maxBufferCap bounds the buffer an imported learner may declare: a learner
+// retrains only once its buffer fills, so a huge one would queue every
+// sample and never retrain. Callers set 8 (serving) up to 64 (ablations).
+const maxBufferCap = 1024
+
 // DecodeOnlineILState reconstructs a learner written by EncodeStateTo. It
-// refuses an update schedule or warmup other than the constants every
-// learner runs.
+// refuses a buffer past maxBufferCap, and an update schedule or warmup
+// other than the constants every learner runs.
 func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	radius := d.Int()
 	bufferCap := d.Int()
@@ -217,7 +192,7 @@ func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if radius <= 0 || bufferCap <= 0 || bufferCap > math.MaxInt/queueBuffers || decisions < 0 {
+	if radius <= 0 || bufferCap <= 0 || bufferCap > maxBufferCap || decisions < 0 {
 		return nil, fmt.Errorf("il: decoded hyperparameters invalid (radius %d, buffer %d, decisions %d)",
 			radius, bufferCap, decisions)
 	}

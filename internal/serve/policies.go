@@ -25,10 +25,9 @@ type PolicyStore struct {
 	path string
 	p    *soc.Platform
 
-	mu   sync.RWMutex
-	mlp  *il.MLPPolicy
-	tree *il.TreePolicy
-	gen  int64
+	mu  sync.RWMutex
+	mlp *il.MLPPolicy
+	gen int64
 }
 
 // NewPolicyStore returns a store reading from path; call Load before use.
@@ -51,14 +50,7 @@ func (ps *PolicyStore) Load() error {
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	switch v := pol.(type) {
-	case *il.MLPPolicy:
-		ps.mlp, ps.tree = v, nil
-	case *il.TreePolicy:
-		ps.mlp, ps.tree = nil, v
-	default:
-		return fmt.Errorf("serve: unsupported policy type %T", pol)
-	}
+	ps.mlp = pol
 	ps.gen++
 	return nil
 }
@@ -71,8 +63,8 @@ func (ps *PolicyStore) Generation() int64 {
 	return ps.gen
 }
 
-// MLP returns the currently loaded neural policy, or an error if the store
-// holds none (no file loaded, or the file holds a tree policy).
+// MLP returns the currently loaded neural policy, or an error if no file
+// has loaded.
 func (ps *PolicyStore) MLP() (*il.MLPPolicy, error) {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
@@ -80,15 +72,4 @@ func (ps *PolicyStore) MLP() (*il.MLPPolicy, error) {
 		return nil, fmt.Errorf("serve: no MLP policy loaded from %s", ps.path)
 	}
 	return ps.mlp, nil
-}
-
-// Tree returns the currently loaded regression-tree policy, or an error if
-// the store holds none.
-func (ps *PolicyStore) Tree() (*il.TreePolicy, error) {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if ps.tree == nil {
-		return nil, fmt.Errorf("serve: no tree policy loaded from %s", ps.path)
-	}
-	return ps.tree, nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -265,13 +264,8 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad replica id")
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxStepBody+1))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "reading snapshot: %v", err)
-		return
-	}
-	if len(data) > maxStepBody {
-		WriteError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxStepBody)
+	data, ok := ReadBody(w, r)
+	if !ok {
 		return
 	}
 	// Cheap sanity check before parking: a torn push must not become a

@@ -148,10 +148,12 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 // TestCreateRejectsUnknownPolicy: an unknown policy is a 400 that names
-// it, and a huge name is quoted only by a short prefix.
+// it, and a huge name is quoted only by a short prefix. offline-tree, the
+// regression-tree policy, runs only in-process (socsim, Table II) and is
+// unknown to the daemon.
 func TestCreateRejectsUnknownPolicy(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
-	for _, name := range []string{"nope", strings.Repeat("a", 1<<20)} {
+	for _, name := range []string{"nope", "offline-tree", strings.Repeat("a", 1<<20)} {
 		err := call(ts.Client(), http.MethodPost, ts.URL+"/v1/sessions",
 			CreateRequest{Policy: name}, nil)
 		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown policy") {

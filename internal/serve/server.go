@@ -23,9 +23,8 @@ import (
 // Options configure a Server.
 type Options struct {
 	Platform *soc.Platform
-	// Store supplies persisted IL policies; nil disables the offline-il,
-	// offline-tree and online-il session policies (heuristic governors
-	// still work).
+	// Store supplies the persisted MLP policy; nil disables the offline-il
+	// and online-il session policies (heuristic governors still work).
 	Store *PolicyStore
 	// Models is the warm-started online-model template cloned into every
 	// online-il session; nil disables online-il sessions.
@@ -190,9 +189,8 @@ func (s *Server) Reload() error {
 
 // Policies a session may request.
 const (
-	PolicyOfflineIL   = "offline-il"
-	PolicyOfflineTree = "offline-tree"
-	PolicyOnlineIL    = "online-il"
+	PolicyOfflineIL = "offline-il"
+	PolicyOnlineIL  = "online-il"
 )
 
 // apiError is an error with an HTTP status, so the direct-call API and the
@@ -218,9 +216,8 @@ func statusOf(err error) int {
 
 // newDecider builds a fresh decider for one session. The MLP policy's
 // inference path reuses per-policy scratch buffers (the zero-allocation
-// hot path), so every session — offline or online — gets its own clone;
-// the tree policy is stateless at inference time and stays shared. The
-// online learner additionally clones the models so its training never
+// hot path), so every session — offline or online — gets its own clone.
+// The online learner additionally clones the models so its training never
 // touches another session.
 func (s *Server) newDecider(policy string, seed int64) (control.Decider, error) {
 	switch policy {
@@ -233,15 +230,6 @@ func (s *Server) newDecider(policy string, seed int64) (control.Decider, error) 
 			return nil, err
 		}
 		return &il.OfflineDecider{P: s.p, Policy: pol.Clone()}, nil
-	case PolicyOfflineTree:
-		if s.store == nil {
-			return nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
-		}
-		pol, err := s.store.Tree()
-		if err != nil {
-			return nil, err
-		}
-		return &il.OfflineDecider{P: s.p, Policy: pol}, nil
 	case PolicyOnlineIL:
 		if s.store == nil || s.models == nil {
 			return nil, fmt.Errorf("policy %q needs a policy file and warm online models", policy)
@@ -483,7 +471,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/step/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /v1/sessions/{id}/detach", s.handleDetach)
 	mux.HandleFunc("POST /v1/sessions/import", s.handleImport)
 	mux.HandleFunc("POST /v1/replica/{id}", s.handleReplicaPut)
@@ -707,6 +694,23 @@ var contentTypeJSON = []string{"application/json"}
 // hostile client. The body buffer grows only as bytes arrive and is
 // never sized from an attacker-controlled Content-Length.
 const maxStepBody = 8 << 20
+
+// ReadBody reads a whole request body of up to maxStepBody bytes. Past the
+// bound it answers 413 and reports false, so no prefix of an oversized body
+// is ever acted on. The cluster router reads its step, create and batch
+// bodies through it, so it forwards nothing the backend would refuse.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxStepBody+1))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
+		return nil, false
+	}
+	if len(data) > maxStepBody {
+		WriteError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxStepBody)
+		return nil, false
+	}
+	return data, true
+}
 
 // MaxBatchEntries bounds entries per POST /v1/step/batch request (413 past
 // it). The byte cap alone is not enough: a hostile batch of tiny entries

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 
 	"socrm/internal/control"
@@ -83,15 +82,11 @@ func (s *Server) encodeSessionLocked(sess *Session, e *snap.Encoder) error {
 	case *il.OnlineIL:
 		dec.EncodeStateTo(e)
 	case *il.OfflineDecider:
-		switch pol := dec.Policy.(type) {
-		case *il.MLPPolicy:
-			pol.EncodeTo(e)
-		case *il.TreePolicy:
-			// The tree policy is stateless at inference time and shared from
-			// the policy store; the importer rebuilds it from its own store.
-		default:
-			return fmt.Errorf("session %s: offline policy %T is not snapshottable", sess.ID, pol)
+		pol, isMLP := dec.Policy.(*il.MLPPolicy)
+		if !isMLP {
+			return fmt.Errorf("session %s: offline policy %T is not snapshottable", sess.ID, dec.Policy)
 		}
+		pol.EncodeTo(e)
 	case *governor.Ondemand:
 		e.F64(dec.UpThreshold)
 	case *governor.Interactive:
@@ -145,15 +140,6 @@ func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider,
 		return il.DecodeOnlineILState(d, s.p)
 	case PolicyOfflineIL:
 		pol, err := il.DecodeMLPPolicy(d, s.p)
-		if err != nil {
-			return nil, err
-		}
-		return &il.OfflineDecider{P: s.p, Policy: pol}, nil
-	case PolicyOfflineTree:
-		if s.store == nil {
-			return nil, fmt.Errorf("policy %q needs a policy file (-policy-file)", policy)
-		}
-		pol, err := s.store.Tree()
 		if err != nil {
 			return nil, err
 		}
@@ -404,18 +390,6 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // ---- HTTP layer ----
 
-// handleSnapshot serves GET /v1/sessions/{id}/snapshot: a consistent binary
-// snapshot of a live session.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := s.ExportSession(r.PathValue("id"))
-	if err != nil {
-		WriteError(w, statusOf(err), "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
 // handleDetach serves POST /v1/sessions/{id}/detach: remove the session and
 // return its migration snapshot. The caller owns the session afterwards.
 func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
@@ -435,13 +409,8 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxStepBody+1))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "reading snapshot: %v", err)
-		return
-	}
-	if len(data) > maxStepBody {
-		WriteError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxStepBody)
+	data, ok := ReadBody(w, r)
+	if !ok {
 		return
 	}
 	resp, err := s.ImportSession(data)

@@ -17,7 +17,6 @@ import (
 
 	"socrm/internal/control"
 	"socrm/internal/il"
-	"socrm/internal/oracle"
 	"socrm/internal/rls"
 	"socrm/internal/snap"
 	"socrm/internal/soc"
@@ -285,8 +284,9 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 
 // TestImportRejectsForeignUpdateSchedule: the online-IL update schedule,
 // warmup and intercept gain are constants that every envelope still
-// carries. An envelope declaring any other value is refused with a 400
-// instead of importing into a learner that would not run it.
+// carries. An envelope declaring any other value, or a buffer so large the
+// learner would never retrain, is refused with a 400 instead of importing
+// into a learner that would not run it.
 func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 	srvA, _, _ := newTestServer(t, nil)
 	created, err := srvA.CreateSession(CreateRequest{Policy: PolicyOnlineIL})
@@ -342,6 +342,7 @@ func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 		{"momentum", learner + 32, math.Float64bits(0.8), "update schedule"},
 		{"warmup", learner + 40, 3, "update schedule"},
 		{"intercept gain", gain, math.Float64bits(0.5), "intercept gain"},
+		{"buffer", learner + 8, 1 << 30, "hyperparameters"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := append([]byte(nil), data...)
@@ -360,6 +361,19 @@ func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 	}
 	if _, err := srvB.ImportSession(data); err != nil {
 		t.Fatalf("the unmodified envelope: %v", err)
+	}
+	// A buffer the ablations use imports and survives the round trip.
+	binary.LittleEndian.PutUint64(data[learner+8:], 64)
+	srvC, _, _ := newTestServer(t, nil)
+	if _, err := srvC.ImportSession(data); err != nil {
+		t.Fatalf("buffer 64: %v", err)
+	}
+	out, err := srvC.ExportSession(created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(out[learner+8:]); got != 64 {
+		t.Fatalf("the imported learner re-exports a buffer of %d, want 64", got)
 	}
 }
 
@@ -434,8 +448,8 @@ func TestDrainGatesAdmission(t *testing.T) {
 	}
 }
 
-// TestSnapshotHTTPRoundTrip exercises the wire surface: GET snapshot, POST
-// detach, POST import, and the /admin/sessions listing a drainer walks.
+// TestSnapshotHTTPRoundTrip exercises the wire surface: POST detach, POST
+// import, and the /admin/sessions listing a drainer walks.
 func TestSnapshotHTTPRoundTrip(t *testing.T) {
 	srvA, tsA, _ := newTestServer(t, nil)
 	srvB, tsB, _ := newTestServer(t, nil)
@@ -448,16 +462,7 @@ func TestSnapshotHTTPRoundTrip(t *testing.T) {
 	}
 	stepClosedLoop(t, srvA, created.ID, created.Start, 0, 12)
 
-	resp, err := hc.Get(tsA.URL + "/v1/sessions/" + created.ID + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET snapshot = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	resp, err = hc.Post(tsA.URL+"/v1/sessions/"+created.ID+"/detach", "", nil)
+	resp, err := hc.Post(tsA.URL+"/v1/sessions/"+created.ID+"/detach", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,40 +649,12 @@ func TestCreateWithExplicitID(t *testing.T) {
 	}
 }
 
-// fuzzTreeStore is a policy store holding a tree policy, so offline-tree
-// envelopes import too; every other decider carries its own state.
-func fuzzTreeStore(t testing.TB) *PolicyStore {
-	p := soc.NewXU3()
-	apps := workload.MiBench(1)[:2]
-	for i := range apps {
-		apps[i].Snippets = apps[i].Snippets[:8]
-	}
-	pol, err := il.TrainTreePolicy(p, il.BuildDataset(p, oracle.New(p, oracle.Energy), apps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := il.SaveTreePolicy(&buf, pol); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "tree.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store := NewPolicyStore(path, p)
-	if err := store.Load(); err != nil {
-		t.Fatal(err)
-	}
-	return store
-}
-
 // FuzzImportSession: no envelope panics import or the first step after
 // it; SnapshotMeta accepts every envelope import accepts and reads the same
 // header; and an accepted envelope re-exports byte for byte, but for the
 // epoch, which the import advanced by one.
 func FuzzImportSession(f *testing.F) {
 	p := soc.NewXU3()
-	store := fuzzTreeStore(f)
 	cfg := p.Clamp(soc.Config{LittleFreqIdx: 6, BigFreqIdx: 9, NLittle: 4, NBig: 2})
 	sn := workload.MiBench(8)[0].Snippets[0]
 	res := p.Execute(sn, cfg)
@@ -685,7 +662,7 @@ func FuzzImportSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh server per input: fences left by an earlier import would
 		// turn every later mutation of the same envelope into a 409.
-		srv := New(Options{Platform: p, Store: store})
+		srv := New(Options{Platform: p})
 		defer srv.Close()
 		id, epoch, steps, metaErr := SnapshotMeta(data)
 		created, err := srv.ImportSession(data)
