@@ -6,11 +6,10 @@
 // the same fault schedule on every run — a failing chaos test reproduces
 // with its seed. Faults are sampled independently per call site:
 //
-//   - Middleware: wraps an http.Handler; injects extra latency, 500
-//     responses, and connection resets (via http.ErrAbortHandler) before
-//     the real handler runs.
-//   - Transport: wraps an http.RoundTripper; injects latency and
-//     synthetic connect errors on the client side.
+//   - Middleware: wraps an http.Handler; injects extra latency before the
+//     real handler runs.
+//   - Transport: wraps an http.RoundTripper; injects latency on the client
+//     side, and fails every call to a host that SetPartition blackholed.
 //   - TornWrites: a ckpt.Options.MaimWrites hook that truncates a
 //     fraction of checkpoint records mid-record, simulating a crash
 //     during a write.
@@ -36,9 +35,7 @@ type Options struct {
 	Latency  time.Duration // extra delay injected when LatencyP fires
 	LatencyP float64       // probability of injecting Latency per request
 
-	ErrorP float64 // probability of replying 500 instead of serving
-	ResetP float64 // probability of aborting the connection mid-request
-	TornP  float64 // probability of tearing a checkpoint record write
+	TornP float64 // probability of tearing a checkpoint record write
 }
 
 // Injector is a seeded fault source. Safe for concurrent use.
@@ -55,12 +52,8 @@ type Injector struct {
 	// the host; the reverse direction is a separate injector's blackhole).
 	blackholes atomic.Pointer[map[string]bool]
 
-	// Injection counters, exposed for tests and logs.
-	Latencies   atomic.Uint64
-	Errors      atomic.Uint64
-	Resets      atomic.Uint64
-	Torn        atomic.Uint64
-	Partitioned atomic.Uint64
+	// Torn counts torn checkpoint writes, exposed for tests.
+	Torn atomic.Uint64
 }
 
 // New builds an Injector. Faults start enabled.
@@ -124,23 +117,11 @@ func (in *Injector) fire(p float64) bool {
 func (in *Injector) Middleware(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if in.fire(in.opt.LatencyP) {
-			in.Latencies.Add(1)
 			select {
 			case <-time.After(in.opt.Latency):
 			case <-r.Context().Done():
 				return
 			}
-		}
-		if in.fire(in.opt.ResetP) {
-			in.Resets.Add(1)
-			// net/http turns this panic into an immediate connection
-			// close — the client sees a reset/EOF, not a response.
-			panic(http.ErrAbortHandler)
-		}
-		if in.fire(in.opt.ErrorP) {
-			in.Errors.Add(1)
-			http.Error(w, `{"error":"chaos: injected failure"}`, http.StatusInternalServerError)
-			return
 		}
 		h.ServeHTTP(w, r)
 	})
@@ -163,23 +144,17 @@ type transport struct {
 func (t *transport) RoundTrip(r *http.Request) (*http.Response, error) {
 	in := t.in
 	if in.partitioned(r.URL.Host) {
-		in.Partitioned.Add(1)
 		// A real partition drops packets silently; surface it as an opaque
 		// transport error (NOT a connection refusal, which callers may treat
 		// as provably-not-delivered and retry aggressively).
 		return nil, fmt.Errorf("chaos: partitioned from %s", r.URL.Host)
 	}
 	if in.fire(in.opt.LatencyP) {
-		in.Latencies.Add(1)
 		select {
 		case <-time.After(in.opt.Latency):
 		case <-r.Context().Done():
 			return nil, r.Context().Err()
 		}
-	}
-	if in.fire(in.opt.ResetP) {
-		in.Resets.Add(1)
-		return nil, fmt.Errorf("chaos: injected connection reset to %s", r.URL.Host)
 	}
 	return t.next.RoundTrip(r)
 }

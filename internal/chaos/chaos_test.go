@@ -16,40 +16,11 @@ func okHandler() http.Handler {
 }
 
 func TestDeterministicSchedule(t *testing.T) {
-	a, b := New(Options{Seed: 42, ErrorP: 0.5}), New(Options{Seed: 42, ErrorP: 0.5})
+	a, b := New(Options{Seed: 42}), New(Options{Seed: 42})
 	for i := 0; i < 200; i++ {
 		if a.fire(0.5) != b.fire(0.5) {
 			t.Fatalf("schedules diverge at draw %d for identical seeds", i)
 		}
-	}
-}
-
-func TestMiddlewareErrorAndReset(t *testing.T) {
-	in := New(Options{Seed: 7, ErrorP: 0.3, ResetP: 0.3})
-	srv := httptest.NewServer(in.Middleware(okHandler()))
-	defer srv.Close()
-
-	var ok, errs, resets int
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(srv.URL)
-		if err != nil {
-			resets++
-			continue
-		}
-		if resp.StatusCode == http.StatusInternalServerError {
-			errs++
-		} else {
-			ok++
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if ok == 0 || errs == 0 || resets == 0 {
-		t.Fatalf("fault mix never exercised all classes: ok=%d errs=%d resets=%d", ok, errs, resets)
-	}
-	gotErrs, gotResets := in.Errors.Load(), in.Resets.Load()
-	if gotErrs == 0 || gotResets == 0 {
-		t.Fatalf("counters not incremented: errors=%d resets=%d", gotErrs, gotResets)
 	}
 }
 
@@ -69,25 +40,15 @@ func TestMiddlewareLatency(t *testing.T) {
 	}
 }
 
-func TestTransportReset(t *testing.T) {
-	in := New(Options{Seed: 3, ResetP: 1})
-	c := &http.Client{Transport: in.Transport(nil)}
-	if _, err := c.Get("http://127.0.0.1:1/never-dialed"); err == nil {
-		t.Fatal("transport with ResetP=1 returned no error")
-	}
-	if in.Resets.Load() == 0 {
-		t.Fatal("reset counter not incremented")
-	}
-}
-
 func TestDisabledInjectorIsInert(t *testing.T) {
-	in := New(Options{Seed: 5, ErrorP: 1, ResetP: 1, TornP: 1})
+	in := New(Options{Seed: 5, Latency: time.Minute, LatencyP: 1, TornP: 1})
 	in.SetEnabled(false)
 	srv := httptest.NewServer(in.Middleware(okHandler()))
 	defer srv.Close()
+	start := time.Now()
 	resp, err := http.Get(srv.URL)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("disabled injector still faulted: %v %v", err, resp)
+	if err != nil || resp.StatusCode != http.StatusOK || time.Since(start) >= time.Minute {
+		t.Fatalf("disabled injector still faulted: %v %v after %v", err, resp, time.Since(start))
 	}
 	resp.Body.Close()
 	rec := []byte{1, 2, 3, 4, 5, 6}

@@ -1,7 +1,7 @@
 // Package governor implements the heuristic frequency governors the paper's
 // introduction cites as the state of practice (ref [4], the Linux ondemand
-// and interactive governors), plus the trivial performance / powersave /
-// userspace policies. They plug into the same control loop as the learned
+// and interactive governors), plus the trivial performance and powersave
+// policies. They plug into the same control loop as the learned
 // policies and serve as additional baselines in the extended benchmarks.
 package governor
 
@@ -30,16 +30,18 @@ func busyness(st control.State) float64 {
 	return b
 }
 
+// upThreshold is the Linux ondemand governor's default up-threshold.
+const upThreshold = 0.8
+
 // Ondemand jumps to maximum frequency above the up-threshold and scales
 // proportionally below it, as the Linux governor does (ref [4]).
 type Ondemand struct {
-	P           *soc.Platform
-	UpThreshold float64 // default 0.8
+	P *soc.Platform
 }
 
 // NewOndemand returns the governor with the Linux default threshold.
 func NewOndemand(p *soc.Platform) *Ondemand {
-	return &Ondemand{P: p, UpThreshold: 0.8}
+	return &Ondemand{P: p}
 }
 
 // Name implements control.Decider.
@@ -52,36 +54,40 @@ func (g *Ondemand) Decide(st control.State) soc.Config {
 	nb := len(g.P.BigOPPs)
 	nl := len(g.P.LittleOPPs)
 	cfg := soc.Config{NLittle: 4, NBig: 4}
-	if b >= g.UpThreshold {
+	if b >= upThreshold {
 		cfg.BigFreqIdx = nb - 1
 		cfg.LittleFreqIdx = nl - 1
 	} else {
-		cfg.BigFreqIdx = int(b / g.UpThreshold * float64(nb-1))
-		cfg.LittleFreqIdx = int(b / g.UpThreshold * float64(nl-1))
+		cfg.BigFreqIdx = int(b / upThreshold * float64(nb-1))
+		cfg.LittleFreqIdx = int(b / upThreshold * float64(nl-1))
 	}
 	return g.P.Clamp(cfg)
 }
+
+// The interactive governor's typical Android tuning: at hispeedLoad or
+// above it jumps to the hispeed frequency, and below half load it steps
+// down stepDown indices per decision.
+const (
+	hispeedLoad = 0.85
+	stepDown    = 1
+)
 
 // Interactive ramps quickly on load and decays slowly, approximating the
 // Android interactive governor's hispeed behaviour.
 type Interactive struct {
 	P           *soc.Platform
-	HispeedLoad float64
-	HispeedIdx  int // frequency index jumped to on hispeed load
-	StepDown    int
 	cur         soc.Config
 	initialized bool
 }
 
 // NewInteractive returns the governor with typical Android tuning.
 func NewInteractive(p *soc.Platform) *Interactive {
-	return &Interactive{
-		P:           p,
-		HispeedLoad: 0.85,
-		HispeedIdx:  (len(p.BigOPPs) - 1) * 3 / 4,
-		StepDown:    1,
-	}
+	return &Interactive{P: p}
 }
+
+// hispeedIdx is the big-cluster frequency index jumped to on hispeed load,
+// three quarters of the way up the platform's table.
+func (g *Interactive) hispeedIdx() int { return (len(g.P.BigOPPs) - 1) * 3 / 4 }
 
 // Name implements control.Decider.
 func (g *Interactive) Name() string { return "interactive" }
@@ -95,16 +101,16 @@ func (g *Interactive) Decide(st control.State) soc.Config {
 	}
 	b := busyness(st)
 	switch {
-	case b >= g.HispeedLoad:
-		if g.cur.BigFreqIdx < g.HispeedIdx {
-			g.cur.BigFreqIdx = g.HispeedIdx
+	case b >= hispeedLoad:
+		if hi := g.hispeedIdx(); g.cur.BigFreqIdx < hi {
+			g.cur.BigFreqIdx = hi
 		} else {
 			g.cur.BigFreqIdx++
 		}
 		g.cur.LittleFreqIdx++
 	case b < 0.5:
-		g.cur.BigFreqIdx -= g.StepDown
-		g.cur.LittleFreqIdx -= g.StepDown
+		g.cur.BigFreqIdx -= stepDown
+		g.cur.LittleFreqIdx -= stepDown
 	}
 	g.cur = g.P.Clamp(g.cur)
 	return g.cur
@@ -139,16 +145,3 @@ func (g Powersave) Name() string { return "powersave" }
 
 // Decide implements control.Decider.
 func (g Powersave) Decide(control.State) soc.Config { return g.P.MinPowerConfig() }
-
-// Userspace holds whatever configuration it was given, emulating manual
-// control through sysfs.
-type Userspace struct {
-	P   *soc.Platform
-	Cfg soc.Config
-}
-
-// Name implements control.Decider.
-func (g Userspace) Name() string { return "userspace" }
-
-// Decide implements control.Decider.
-func (g Userspace) Decide(control.State) soc.Config { return g.P.Clamp(g.Cfg) }

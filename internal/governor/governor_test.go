@@ -55,8 +55,8 @@ func TestInteractiveRampsAndDecays(t *testing.T) {
 	cfg := soc.Config{LittleFreqIdx: 3, BigFreqIdx: 3, NLittle: 4, NBig: 4}
 	// Load burst: jump at least to the hispeed index.
 	got := g.Decide(stateWith(p, busySnippet(), cfg))
-	if got.BigFreqIdx < g.HispeedIdx {
-		t.Fatalf("interactive ramped only to B%d, hispeed is %d", got.BigFreqIdx, g.HispeedIdx)
+	if got.BigFreqIdx < g.hispeedIdx() {
+		t.Fatalf("interactive ramped only to B%d, hispeed is %d", got.BigFreqIdx, g.hispeedIdx())
 	}
 	// Sustained idle: decay step by step.
 	high := got
@@ -74,16 +74,6 @@ func TestPerformanceAndPowersave(t *testing.T) {
 	}
 	if got := (Powersave{P: p}).Decide(st); got != p.MinPowerConfig() {
 		t.Fatalf("powersave = %v", got)
-	}
-}
-
-func TestUserspaceHolds(t *testing.T) {
-	p := soc.NewXU3()
-	cfg := soc.Config{LittleFreqIdx: 5, BigFreqIdx: 7, NLittle: 2, NBig: 1}
-	g := Userspace{P: p, Cfg: cfg}
-	st := stateWith(p, busySnippet(), p.MaxPerfConfig())
-	if got := g.Decide(st); got != cfg {
-		t.Fatalf("userspace = %v, want %v", got, cfg)
 	}
 }
 

@@ -36,11 +36,9 @@ type OnlineIL struct {
 
 	decisions int
 
-	// queue holds the aggregated samples not yet trained on, oldest first.
-	// A learner that retrains inline never queues more than BufferCap; an
-	// imported one may hold up to queueBuffers aggregation buffers.
+	// queue holds the aggregated samples not yet trained on, oldest first;
+	// the Ingest that fills it to BufferCap retrains and empties it.
 	queue   []Sample
-	dropped uint64
 	updates int64
 
 	// Decision-path scratch, reused across calls so a steady-state Decide
@@ -66,14 +64,6 @@ const (
 	UpdateMomentum  float64 = 0.9
 	warmupDecisions         = 2
 )
-
-// queueBuffers is the experience queue's capacity in aggregation buffers:
-// a learner queues at most queueBuffers*BufferCap samples, and beyond that
-// drops its oldest. A learner that retrains inline never queues more than
-// BufferCap; the larger bound is the wire format's, so an envelope written
-// by a daemon that trained in the background, with up to four buffers'
-// worth queued, still imports.
-const queueBuffers = 4
 
 // Sample is one experience-queue entry: the state features the policy saw
 // and the model-labeled target configuration. The arrays are fixed-size so
@@ -181,10 +171,10 @@ func (o *OnlineIL) interior(cur, best soc.Config) bool {
 		in(cur.NBig, best.NBig, soc.MinNBig, soc.MaxNBig)
 }
 
-// Ingest queues one aggregated sample, dropping the oldest queued sample
-// when the queue is full. The slices are borrowed from the caller's decision
-// scratch and copied. Once a buffer's worth is queued, Ingest retrains the
-// policy on the whole queue, oldest first, and empties it.
+// Ingest queues one aggregated sample. The slices are borrowed from the
+// caller's decision scratch and copied. Once a buffer's worth is queued,
+// Ingest retrains the policy on the whole queue, oldest first, and empties
+// it.
 func (o *OnlineIL) Ingest(x, y []float64) {
 	s := o.enqueue()
 	copy(s.X[:], x)
@@ -194,14 +184,8 @@ func (o *OnlineIL) Ingest(x, y []float64) {
 	}
 }
 
-// enqueue appends an empty sample to the queue and returns it, first
-// dropping the oldest sample, counted as dropped, when the queue already
-// holds queueBuffers aggregation buffers.
+// enqueue appends an empty sample to the queue and returns it.
 func (o *OnlineIL) enqueue() *Sample {
-	if len(o.queue) >= queueBuffers*o.BufferCap {
-		o.queue = append(o.queue[:0], o.queue[1:]...)
-		o.dropped++
-	}
 	o.queue = append(o.queue, Sample{})
 	return &o.queue[len(o.queue)-1]
 }

@@ -16,13 +16,14 @@ import (
 //	magic   u32  "SOCP"
 //	version u16  policyVersion
 //	kind    u8   policyMLP (kind 2, a regression-tree policy, is no longer read)
-//	payload      MLPPolicy.EncodeTo
+//	payload      MLPPolicy.EncodeTo: scaler, shape, weights, biases
 //
-// The MLP payload keeps the SGD momentum; a session starts from Clone,
-// which zeroes it, so the momentum in a file never changes a decision.
+// The payload carries no SGD momentum: a session starts from Clone, which
+// zeroes it, and a loaded policy holds zero momentum too. Version 1 was a
+// JSON format and version 2 also carried the momentum; neither is read.
 const (
 	policyMagic   uint32 = 0x50434F53 // "SOCP", little-endian
-	policyVersion uint16 = 2          // version 1 was a JSON format, no longer read
+	policyVersion uint16 = 3
 	policyMLP     uint8  = 1
 )
 

@@ -12,23 +12,26 @@ import (
 )
 
 // This file is the learner half of session snapshot/migration: every piece
-// of per-session learning state — the policy network with its optimizer
-// momentum, the adaptive RLS models with their covariances, and the
-// learner's queued-but-not-yet-trained experience — encodes to a
-// deterministic binary layout and decodes back into a learner that
-// continues the exact decision/update trajectory of the source. The serving
+// of per-session learning state — the policy network, the optimizer momentum
+// of a learner that trains it, the adaptive RLS models with their
+// covariances, and the learner's queued-but-not-yet-trained experience —
+// encodes to a deterministic binary layout and decodes back into a learner
+// that continues the exact decision/update trajectory of the source. The
+// layout carries state only: the update schedule, warmup and intercept gain
+// are constants every learner runs, so they are not written. The serving
 // layer wraps this in its versioned session envelope.
 
-// EncodeTo writes the policy (scaler + full network state including
-// momentum) for migration.
+// EncodeTo writes the policy: its scaler, then the network's shape, weights
+// and biases. It is the payload of a policy file and of an offline-il
+// envelope; neither trains, so no momentum is written.
 func (m *MLPPolicy) EncodeTo(e *snap.Encoder) {
 	e.F64s(m.Scaler.Mean)
 	e.F64s(m.Scaler.Std)
 	m.Net.EncodeTo(e)
 }
 
-// DecodeMLPPolicy reconstructs a policy written by MLPPolicy.EncodeTo and
-// binds it to the platform. It refuses any shape the first PredictConfig
+// DecodeMLPPolicy reconstructs a policy written by MLPPolicy.EncodeTo, with
+// zero momentum, and binds it to the platform. It refuses any shape the first PredictConfig
 // could not run: a network that does not map control.NumFeatures inputs to
 // soc.NumConfigFeatures outputs, or a scaler of another width.
 func DecodeMLPPolicy(d *snap.Decoder, p *soc.Platform) (*MLPPolicy, error) {
@@ -62,18 +65,15 @@ func decodeScaler(d *snap.Decoder) (*counters.Scaler, error) {
 }
 
 // EncodeTo writes the adaptive model state: the three RLS estimators plus
-// the deployment-adaptation switch and the intercept gain, a constant
-// written so the wire format keeps its field.
+// the deployment-adaptation switch.
 func (m *OnlineModels) EncodeTo(e *snap.Encoder) {
 	m.CPIBig.EncodeTo(e)
 	m.CPILittle.EncodeTo(e)
 	m.Power.EncodeTo(e)
 	e.Bool(m.AdaptInterceptOnly)
-	e.F64(interceptGain)
 }
 
 // DecodeOnlineModels reconstructs models written by OnlineModels.EncodeTo.
-// It refuses an intercept gain other than the constant.
 func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error) {
 	cpiBig, err := rls.DecodeRLS(d)
 	if err != nil {
@@ -98,23 +98,17 @@ func DecodeOnlineModels(d *snap.Decoder, p *soc.Platform) (*OnlineModels, error)
 		Power:              power,
 		AdaptInterceptOnly: d.Bool(),
 	}
-	gain := d.F64()
 	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if gain != interceptGain {
-		return nil, fmt.Errorf("il: decoded intercept gain %v, want %v", gain, interceptGain)
 	}
 	return m, nil
 }
 
-// encodeQueue writes the experience queue's wire shape: how many
-// incremental updates have been published (the per-update seed schedule
-// depends on it), how many samples the full queue has dropped, and every
-// sample queued but not yet trained on, oldest first.
+// encodeQueue writes the experience queue: how many incremental updates
+// have been published (the per-update seed schedule depends on it) and
+// every sample queued but not yet trained on, oldest first.
 func (o *OnlineIL) encodeQueue(e *snap.Encoder) {
 	e.I64(o.updates)
-	e.U64(o.dropped)
 	e.U32(uint32(len(o.queue)))
 	for i := range o.queue {
 		e.F64s(o.queue[i].X[:])
@@ -122,15 +116,12 @@ func (o *OnlineIL) encodeQueue(e *snap.Encoder) {
 	}
 }
 
-// decodeQueue restores the wire shape into a fresh learner. The samples are
-// queued without retraining, even a buffer's worth or more (the next Ingest
-// retrains on all of them), and an envelope queueing more than
-// queueBuffers aggregation buffers is refused. The queue grows one sample
-// at a time, so a declared count the bytes do not back allocates nothing
-// up front.
+// decodeQueue restores the queue into a fresh learner. A learner retrains
+// the moment it queues a buffer's worth, so a queue of BufferCap samples or
+// more is refused. The queue grows one sample at a time, so a declared
+// count the bytes do not back allocates nothing up front.
 func (o *OnlineIL) decodeQueue(d *snap.Decoder) error {
 	updates := d.I64()
-	dropped := d.U64()
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
@@ -138,11 +129,10 @@ func (o *OnlineIL) decodeQueue(d *snap.Decoder) error {
 	if updates < 0 {
 		return fmt.Errorf("il: decoded update count %d negative", updates)
 	}
-	if limit := queueBuffers * o.BufferCap; n > limit {
-		return fmt.Errorf("il: decoded %d queued samples, the experience queue holds %d", n, limit)
+	if n >= o.BufferCap {
+		return fmt.Errorf("il: decoded %d queued samples, a buffer of %d retrains at %d", n, o.BufferCap, o.BufferCap)
 	}
 	o.updates = updates
-	o.dropped = dropped
 	for i := 0; i < n; i++ {
 		s := o.enqueue()
 		d.F64sInto(s.X[:])
@@ -154,20 +144,16 @@ func (o *OnlineIL) decodeQueue(d *snap.Decoder) error {
 	return nil
 }
 
-// EncodeStateTo writes the learner's complete state: hyperparameters, the
-// decision count (warmup gating), the policy snapshot, the adaptive models
-// and the experience queue. The update schedule and warmup are constants,
-// written so the wire format keeps its fields.
+// EncodeStateTo writes the learner's complete state: neighborhood radius and
+// buffer size, training seed, the decision count (warmup gating), the
+// policy and its momentum, the adaptive models and the experience queue.
 func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 	e.Int(o.Radius)
 	e.Int(o.BufferCap)
-	e.Int(UpdateEpochs)
-	e.F64(UpdateLR)
-	e.F64(UpdateMomentum)
-	e.Int(warmupDecisions)
 	e.I64(o.Seed)
 	e.Int(o.decisions)
 	o.pol.EncodeTo(e)
+	o.pol.Net.EncodeMomentumTo(e)
 	o.Models.EncodeTo(e)
 	o.encodeQueue(e)
 }
@@ -178,15 +164,10 @@ func (o *OnlineIL) EncodeStateTo(e *snap.Encoder) {
 const maxBufferCap = 1024
 
 // DecodeOnlineILState reconstructs a learner written by EncodeStateTo. It
-// refuses a buffer past maxBufferCap, and an update schedule or warmup
-// other than the constants every learner runs.
+// refuses a buffer past maxBufferCap.
 func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 	radius := d.Int()
 	bufferCap := d.Int()
-	epochs := d.Int()
-	lr := d.F64()
-	momentum := d.F64()
-	warmup := d.Int()
 	seed := d.I64()
 	decisions := d.Int()
 	if err := d.Err(); err != nil {
@@ -196,12 +177,11 @@ func DecodeOnlineILState(d *snap.Decoder, p *soc.Platform) (*OnlineIL, error) {
 		return nil, fmt.Errorf("il: decoded hyperparameters invalid (radius %d, buffer %d, decisions %d)",
 			radius, bufferCap, decisions)
 	}
-	if epochs != UpdateEpochs || lr != UpdateLR || momentum != UpdateMomentum || warmup != warmupDecisions {
-		return nil, fmt.Errorf("il: decoded update schedule (epochs %d, lr %v, momentum %v, warmup %d), want (%d, %v, %v, %d)",
-			epochs, lr, momentum, warmup, UpdateEpochs, UpdateLR, UpdateMomentum, warmupDecisions)
-	}
 	pol, err := DecodeMLPPolicy(d, p)
 	if err != nil {
+		return nil, err
+	}
+	if err := pol.Net.DecodeMomentum(d); err != nil {
 		return nil, err
 	}
 	models, err := DecodeOnlineModels(d, p)

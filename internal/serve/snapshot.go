@@ -12,13 +12,14 @@ import (
 )
 
 // Session snapshots make session state portable across processes: every
-// piece of state a decision touches — the decider (policy network with
-// optimizer momentum, RLS covariances, governor ramp state), the previous
-// state fed to learning observers, and the telemetry counters — exports to
-// one versioned, deterministic binary blob and imports on another backend
-// whose subsequent decisions are bit-identical to a never-migrated control.
-// This is the state layer of the cluster refactor: the router migrates
-// sessions between backends purely through ExportSession/ImportSession.
+// piece of state a decision touches — the decider (policy network, a
+// learner's optimizer momentum, RLS covariances, governor ramp state), the
+// previous state fed to learning observers, and the telemetry counters —
+// exports to one versioned, deterministic binary blob and imports on
+// another backend whose subsequent decisions are bit-identical to a
+// never-migrated control. This is the state layer of the cluster refactor:
+// the router migrates sessions between backends purely through
+// ExportSession/ImportSession.
 
 // snapshotMagic brands a session snapshot ("SOCR", little-endian).
 const snapshotMagic uint32 = 0x52434F53
@@ -26,8 +27,11 @@ const snapshotMagic uint32 = 0x52434F53
 // SnapshotVersion is the current session-snapshot format version. Importers
 // reject any other version outright — a half-understood snapshot must never
 // become a half-restored session. Version 2 added the session epoch (the
-// fencing token) to the envelope, right after the policy name.
-const SnapshotVersion uint16 = 2
+// fencing token) to the envelope, right after the policy name. Version 3
+// carries state only: an offline-il policy without its all-zero momentum,
+// an online-il learner without its constant update schedule, and a
+// governor without its constant tuning.
+const SnapshotVersion uint16 = 3
 
 func encodeConfig(e *snap.Encoder, c soc.Config) {
 	e.Int(c.LittleFreqIdx)
@@ -87,16 +91,11 @@ func (s *Server) encodeSessionLocked(sess *Session, e *snap.Encoder) error {
 			return fmt.Errorf("session %s: offline policy %T is not snapshottable", sess.ID, dec.Policy)
 		}
 		pol.EncodeTo(e)
-	case *governor.Ondemand:
-		e.F64(dec.UpThreshold)
 	case *governor.Interactive:
-		e.F64(dec.HispeedLoad)
-		e.Int(dec.HispeedIdx)
-		e.Int(dec.StepDown)
 		cur, initialized := dec.State()
 		encodeConfig(e, cur)
 		e.Bool(initialized)
-	case governor.Performance, governor.Powersave:
+	case *governor.Ondemand, governor.Performance, governor.Powersave:
 		// Stateless: the policy name is the whole snapshot.
 	default:
 		return fmt.Errorf("session %s: decider %T is not snapshottable", sess.ID, sess.dec)
@@ -145,14 +144,9 @@ func (s *Server) decodeDecider(policy string, d *snap.Decoder) (control.Decider,
 		}
 		return &il.OfflineDecider{P: s.p, Policy: pol}, nil
 	case "ondemand":
-		g := governor.NewOndemand(s.p)
-		g.UpThreshold = d.F64()
-		return g, nil
+		return governor.NewOndemand(s.p), nil
 	case "interactive":
 		g := governor.NewInteractive(s.p)
-		g.HispeedLoad = d.F64()
-		g.HispeedIdx = d.Int()
-		g.StepDown = d.Int()
 		cur := decodeConfig(d)
 		g.SetState(cur, d.Bool())
 		return g, nil

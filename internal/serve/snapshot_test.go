@@ -2,22 +2,16 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"socrm/internal/control"
 	"socrm/internal/il"
-	"socrm/internal/rls"
+	"socrm/internal/mlp"
 	"socrm/internal/snap"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
@@ -160,78 +154,43 @@ func TestSnapshotReExportByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBackgroundTrainerEnvelopesImport imports two envelopes written by a
-// server that still trained online-IL sessions on a background worker
-// pool (commit 0eeb548). Both files were made there by a test in package
-// serve: a server with one training worker was built and closed at once,
-// so no worker ever drained, and two online-il sessions with explicit ids
-// were stepped with stepClosedLoop, then written with ExportSession.
-//   - envelope-full-ring.bin ("full-ring"): stepped until the queue had
-//     dropped 3 samples, so it holds the full 4×BufferCap = 32 samples.
-//   - envelope-mid-retrain.bin ("mid-retrain"): stepped until a buffer's
-//     worth was queued; Trainer.Drain was then called by hand, and the
-//     session stepped until 3 more samples queued behind the drained batch.
-//     The export carries the 8 drained samples queued ahead of those 3.
-//
-// Each must import and re-export byte for byte (beyond the epoch, which an
-// import advances). The next Ingest must then retrain once on the whole
-// queue and empty it. The wantAfter digests are SHA-256 of the export
-// after that Ingest, taken at that commit from a server that retrained
-// inline, whose Ingest also retrained on the whole imported queue.
-func TestBackgroundTrainerEnvelopesImport(t *testing.T) {
-	for _, tc := range []struct {
-		file      string
-		queued    int
-		wantAfter string
-	}{
-		{"envelope-full-ring.bin", 32, "77b92696c2136f102ad43c332341ddcb9374ee7cf2c058e49cf0f0c88d9ac2ee"},
-		{"envelope-mid-retrain.bin", 11, "7c135116c995ceb392de71c39477c6e51a8a6fb15e2d8e8b3c2ff07cfd3fc2dc"},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			env, err := os.ReadFile(filepath.Join("testdata", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, _, _ := newTestServer(t, nil)
-			created, err := srv.ImportSession(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			re, err := srv.ExportSession(created.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, epoch, _, err := SnapshotMeta(re)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(withEpoch(t, env, epoch), re) {
-				t.Fatal("re-export differs from the imported envelope beyond the epoch")
-			}
-			oil := srv.sessions.get(created.ID).dec.(*il.OnlineIL)
-			if oil.Buffered() != tc.queued || oil.Updates() != 0 {
-				t.Fatalf("imported %d queued samples and %d updates, want %d and 0", oil.Buffered(), oil.Updates(), tc.queued)
-			}
-			x := make([]float64, control.NumFeatures)
-			y := make([]float64, soc.NumConfigFeatures)
-			for j := range x {
-				x[j] = float64(j+1) / 8
-			}
-			for j := range y {
-				y[j] = 0.5
-			}
-			oil.Ingest(x, y)
-			if oil.Updates() != 1 || oil.Buffered() != 0 {
-				t.Fatalf("after one Ingest: %d updates, %d queued; want one retrain and an empty queue", oil.Updates(), oil.Buffered())
-			}
-			after, err := srv.ExportSession(created.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(after)); got != tc.wantAfter {
-				t.Fatalf("export after the retrain hashes %s, want %s", got, tc.wantAfter)
-			}
-		})
+// TestOfflineEnvelopeCarriesNoMomentum: a frozen policy never trains, so
+// an offline-il envelope carries its scaler, weights and biases but no SGD
+// momentum, and fits in 7 KB. The policy imported from it, and the one
+// loaded from a policy file, hold all-zero momentum.
+func TestOfflineEnvelopeCarriesNoMomentum(t *testing.T) {
+	srvA, _, _ := newTestServer(t, nil)
+	created, err := srvA.CreateSession(CreateRequest{Policy: PolicyOfflineIL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := srvA.ExportSession(created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) > 7<<10 {
+		t.Fatalf("fresh offline-il envelope is %d bytes, want at most 7 KB", len(data))
+	}
+	srvB, _, _ := newTestServer(t, nil)
+	if _, err := srvB.ImportSession(data); err != nil {
+		t.Fatal(err)
+	}
+	imported := srvB.sessions.get(created.ID).dec.(*il.OfflineDecider).Policy.(*il.MLPPolicy)
+	polA, _, _ := fixtures(t)
+	loaded, err := il.LoadPolicy(bytes.NewReader(polA), srvA.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	momentum := func(n *mlp.Network) []byte {
+		var e snap.Encoder
+		n.EncodeMomentumTo(&e)
+		return e.Bytes()
+	}
+	for name, pol := range map[string]*il.MLPPolicy{"imported": imported, "loaded": loaded} {
+		// Clone zeroes the momentum and keeps the shape.
+		if !bytes.Equal(momentum(pol.Net), momentum(pol.Net.Clone())) {
+			t.Fatalf("%s policy holds nonzero momentum", name)
+		}
 	}
 }
 
@@ -282,11 +241,10 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-// TestImportRejectsForeignUpdateSchedule: the online-IL update schedule,
-// warmup and intercept gain are constants that every envelope still
-// carries. An envelope declaring any other value, or a buffer so large the
-// learner would never retrain, is refused with a 400 instead of importing
-// into a learner that would not run it.
+// TestImportRejectsForeignUpdateSchedule: a buffer so large the learner
+// would never retrain is refused with a 400 instead of importing into a
+// learner that would not run it, while a buffer the ablations use imports
+// and survives the round trip.
 func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 	srvA, _, _ := newTestServer(t, nil)
 	created, err := srvA.CreateSession(CreateRequest{Policy: PolicyOnlineIL})
@@ -299,10 +257,7 @@ func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 	}
 	// Walk the envelope to the learner state: header, energy and last
 	// config, then the previous-state flag, clear on a session never
-	// stepped. The learner opens with radius, buffer, epochs, lr,
-	// momentum and warmup, 8 bytes each, then seed and decision count;
-	// the intercept gain follows the policy, the three RLS models and the
-	// intercept-only flag.
+	// stepped. The learner opens with radius, then buffer, 8 bytes each.
 	d := snap.NewDecoder(data)
 	if _, err := decodeEnvelopeHeader(d); err != nil {
 		t.Fatal(err)
@@ -312,58 +267,28 @@ func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 	if d.Bool() {
 		t.Fatal("a session never stepped exported a previous state")
 	}
-	learner := len(data) - d.Remaining()
-	for range 8 {
-		d.Int()
-	}
-	if _, err := il.DecodeMLPPolicy(d, srvA.p); err != nil {
-		t.Fatal(err)
-	}
-	for range 3 {
-		if _, err := rls.DecodeRLS(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Bool()
-	gain := len(data) - d.Remaining()
-	if math.Float64frombits(binary.LittleEndian.Uint64(data[gain:])) != 0.7 {
-		t.Fatal("walked to the wrong offset for the intercept gain")
-	}
+	buffer := len(data) - d.Remaining() + 8
 
 	srvB, _, _ := newTestServer(t, nil)
-	for _, tc := range []struct {
-		name string
-		off  int
-		val  uint64
-		want string
-	}{
-		{"epochs", learner + 16, 81, "update schedule"},
-		{"lr", learner + 24, math.Float64bits(0.03), "update schedule"},
-		{"momentum", learner + 32, math.Float64bits(0.8), "update schedule"},
-		{"warmup", learner + 40, 3, "update schedule"},
-		{"intercept gain", gain, math.Float64bits(0.5), "intercept gain"},
-		{"buffer", learner + 8, 1 << 30, "hyperparameters"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mutated := append([]byte(nil), data...)
-			binary.LittleEndian.PutUint64(mutated[tc.off:], tc.val)
-			_, err := srvB.ImportSession(mutated)
-			if err == nil {
-				t.Fatal("envelope with a foreign value imported")
-			}
-			if statusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v (status %d), want a 400 naming the %s", err, statusOf(err), tc.want)
-			}
-			if srvB.SessionCount() != 0 {
-				t.Fatalf("rejected import left %d sessions behind", srvB.SessionCount())
-			}
-		})
-	}
+	t.Run("buffer", func(t *testing.T) {
+		mutated := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(mutated[buffer:], 1<<30)
+		_, err := srvB.ImportSession(mutated)
+		if err == nil {
+			t.Fatal("envelope with a foreign value imported")
+		}
+		if statusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "hyperparameters") {
+			t.Fatalf("err = %v (status %d), want a 400 naming the hyperparameters", err, statusOf(err))
+		}
+		if srvB.SessionCount() != 0 {
+			t.Fatalf("rejected import left %d sessions behind", srvB.SessionCount())
+		}
+	})
 	if _, err := srvB.ImportSession(data); err != nil {
 		t.Fatalf("the unmodified envelope: %v", err)
 	}
 	// A buffer the ablations use imports and survives the round trip.
-	binary.LittleEndian.PutUint64(data[learner+8:], 64)
+	binary.LittleEndian.PutUint64(data[buffer:], 64)
 	srvC, _, _ := newTestServer(t, nil)
 	if _, err := srvC.ImportSession(data); err != nil {
 		t.Fatalf("buffer 64: %v", err)
@@ -372,7 +297,7 @@ func TestImportRejectsForeignUpdateSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint64(out[learner+8:]); got != 64 {
+	if got := binary.LittleEndian.Uint64(out[buffer:]); got != 64 {
 		t.Fatalf("the imported learner re-exports a buffer of %d, want 64", got)
 	}
 }
